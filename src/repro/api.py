@@ -19,10 +19,10 @@ workload keyed by its *content signature*, so two programs sharing a name
 but differing in image never alias each other's engine — and repeated
 :func:`analyze` calls against the same workload share the golden run, the
 warm waveform/GroupACE caches, and (when ``config.jobs > 1``) the live
-worker pool, exactly like the CLI's engine does within one invocation.
-Call :func:`shutdown` to release pools and flush verdict caches explicitly;
+worker processes, exactly like the CLI's engine does within one invocation.
+Call :func:`shutdown` to stop workers and flush verdict caches explicitly;
 an ``atexit`` hook drains whatever is still cached at interpreter exit, so
-worker pools are not leaked even when callers forget.
+worker processes are not leaked even when callers forget.
 
 The facade is a thin veneer: results are byte-identical to driving
 :class:`repro.core.campaign.DelayAVFEngine` directly with the same
@@ -486,10 +486,10 @@ def fsck(cache_dir, quarantine: bool = False) -> Dict[str, list]:
 
 
 def shutdown() -> None:
-    """Close every cached engine: worker pools stop, verdict caches flush.
+    """Close every cached engine: workers stop, verdict caches flush.
 
     Idempotent, and also registered as an ``atexit`` hook so the parallel
-    path's worker pools are reclaimed even when callers never shut down
+    path's worker processes are reclaimed even when callers never shut down
     explicitly.
     """
     with _REGISTRY_LOCK:
@@ -506,5 +506,5 @@ def shutdown() -> None:
 
 
 # Drain cached engines at interpreter exit: without this, a caller that used
-# config.jobs > 1 and never called shutdown() leaked its worker pools.
+# config.jobs > 1 and never called shutdown() leaked its worker processes.
 atexit.register(shutdown)

@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes (>1 shards the campaign over a process pool)",
+        help="local worker processes (>1 shards the campaign over them)",
     )
     p.add_argument(
         "--cache-dir", default=None,
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--shard-timeout", type=float, default=None, dest="shard_timeout",
         metavar="SECONDS",
-        help="per-shard timeout before a hung worker is recycled "
+        help="per-shard timeout before a hung worker is evicted "
              "(parallel campaigns; default: no timeout)",
     )
     p.add_argument(

@@ -57,13 +57,13 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import threading
 import time
 import warnings
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
+from repro.atomic import atomic_write
 from repro.core import tracing
 from repro.core.group_ace import Outcome
 from repro.testing import chaos
@@ -625,18 +625,8 @@ class VerdictCache:
                     "shards": self._shards,
                 }
                 payload["payload_sha256"] = compute_payload_sha256(payload)
-                fd, tmp_name = tempfile.mkstemp(
-                    prefix=self.path.name, suffix=".tmp", dir=self.directory
+                atomic_write(
+                    self.path, json.dumps(payload),
+                    before_replace=lambda tmp: chaos.fire("cache.flush", path=tmp),
                 )
-                try:
-                    with os.fdopen(fd, "w") as handle:
-                        json.dump(payload, handle)
-                    chaos.fire("cache.flush", path=tmp_name)
-                    os.replace(tmp_name, self.path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp_name)
-                    except OSError:
-                        pass
-                    raise
             self._dirty = False

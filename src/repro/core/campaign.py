@@ -14,7 +14,7 @@ shared across structures and delay sweeps:
 :class:`DelayAVFEngine` runs structure campaigns on top of a session in three
 explicit layers: *planning* (:mod:`repro.core.plan` expands the campaign into
 per-cycle work shards), *execution* (:mod:`repro.core.executor` runs shards
-serially or on a process pool), and *merging* (deterministic assembly into a
+serially or on a worker fleet), and *merging* (deterministic assembly into a
 :class:`repro.core.results.StructureCampaignResult`).
 """
 
@@ -101,27 +101,21 @@ class CampaignConfig:
     #: batches and the event simulator's word-packed cone passes (1 disables
     #: packing; 64 is a full machine word)
     lanes: int = 64
-    #: REMOVED alias of ``lanes`` (the deprecation cycle is finished): any
-    #: non-None value raises ``ValueError`` pointing at ``lanes``
-    batch_lanes: Optional[int] = None
     #: worker processes per structure campaign (>1 selects ParallelExecutor;
-    #: requires the engine to be built from a picklable SessionSpec)
+    #: requires the engine to be built from a SessionSpec)
     jobs: int = 1
     #: directory for the persistent verdict cache ('' / None disables it)
     cache_dir: Optional[str] = None
     #: collect-and-report campaign telemetry (CLI ``--stats``)
     stats: bool = False
-    #: seconds a parallel shard may run before it is presumed hung and the
-    #: pool recycled (None disables the timeout); budget for a cold worker's
-    #: golden run plus the slowest shard
+    #: seconds a worker's shard may run before it is presumed hung and the
+    #: worker evicted (None disables the timeout); budget for a cold
+    #: worker's golden run plus the slowest shard
     shard_timeout: Optional[float] = None
     #: additional attempts granted to a shard whose worker raised
     max_retries: int = 2
     #: base of the exponential retry backoff, in seconds
     retry_backoff: float = 0.05
-    #: worker-pool rebuilds tolerated per campaign before the remaining
-    #: shards degrade to in-process serial execution
-    max_pool_rebuilds: int = 1
     #: completed shards between incremental verdict-cache flushes (1 flushes
     #: after every shard)
     flush_every_shards: int = 8
@@ -190,11 +184,6 @@ class CampaignConfig:
                 f"lanes must be in 1..64 (bit-planes of one machine word), "
                 f"got {self.lanes}"
             )
-        if self.batch_lanes is not None:
-            raise ValueError(
-                "batch_lanes was removed; pass lanes="
-                f"{self.batch_lanes!r} instead"
-            )
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.shard_timeout is not None and self.shard_timeout <= 0:
@@ -203,8 +192,6 @@ class CampaignConfig:
             raise ValueError("max_retries must be >= 0")
         if self.retry_backoff < 0:
             raise ValueError("retry_backoff must be >= 0")
-        if self.max_pool_rebuilds < 0:
-            raise ValueError("max_pool_rebuilds must be >= 0")
         if self.flush_every_shards < 1:
             raise ValueError("flush_every_shards must be >= 1")
         if self.flush_max_seconds < 0:
@@ -228,8 +215,7 @@ class CampaignConfig:
 
     @property
     def lane_width(self) -> int:
-        """Effective packed-lane width (``lanes``; the ``batch_lanes`` alias
-        is gone)."""
+        """Effective packed-lane width (``lanes``)."""
         return self.lanes
 
     @classmethod
@@ -286,7 +272,6 @@ class CampaignConfig:
         """A JSON-serializable dict :meth:`from_payload` rebuilds exactly."""
         payload = dataclasses.asdict(self)
         payload["delay_fractions"] = list(self.delay_fractions)
-        payload.pop("batch_lanes", None)  # removed alias: never on the wire
         return payload
 
     @classmethod
@@ -308,7 +293,7 @@ class CampaignConfig:
         if unknown:
             raise InputError(
                 f"unknown config field(s): {', '.join(unknown)}",
-                hint="known fields: " + ", ".join(sorted(known - {'batch_lanes'})),
+                hint="known fields: " + ", ".join(sorted(known)),
             )
         kwargs = dict(payload)
         if "delay_fractions" in kwargs and kwargs["delay_fractions"] is not None:
@@ -348,17 +333,7 @@ class CampaignSession:
         config: CampaignConfig,
         telemetry: Optional[CampaignTelemetry] = None,
         verdict_cache=None,
-        _internal: bool = False,
-        allow_legacy: bool = False,
     ):
-        if not (_internal or allow_legacy):
-            raise TypeError(
-                "Constructing CampaignSession directly is no longer "
-                "supported (the deprecation cycle ended): use the repro.api "
-                "facade (repro.api.analyze / repro.api.sweep) or "
-                "DelayAVFEngine, which manage the session for you, or pass "
-                "allow_legacy=True to opt into the unsupported path."
-            )
         self.system = system
         self.program = program
         self.config = config
@@ -645,8 +620,8 @@ class DelayAVFEngine:
     """Runs DelayAVF campaigns for one workload on one system.
 
     The engine owns the session and orchestrates plan → execute → merge.  To
-    run campaigns on a process pool (``config.jobs > 1`` or an explicit
-    :class:`ParallelExecutor`), construct the engine from a picklable
+    run campaigns on worker processes (``config.jobs > 1``, ``workers_from``
+    or an explicit :class:`ParallelExecutor`), construct the engine from a
     :class:`SessionSpec` via :meth:`from_spec` so workers can rebuild the
     session.
     """
@@ -675,7 +650,6 @@ class DelayAVFEngine:
             program,
             self.config,
             verdict_cache=self.verdict_cache,
-            _internal=True,
         )
         self.telemetry = self.session.telemetry
         self._executor: Optional[Executor] = None
@@ -685,7 +659,7 @@ class DelayAVFEngine:
 
     @classmethod
     def from_spec(cls, spec: SessionSpec) -> "DelayAVFEngine":
-        """Build the engine (and its system) from a picklable spec."""
+        """Build the engine (and its system) from a session spec."""
         return cls(spec.build_system(), spec.program, spec.config, spec=spec)
 
     @property
@@ -700,8 +674,8 @@ class DelayAVFEngine:
     def default_executor(self) -> Executor:
         """The executor selected by the config (kept across campaigns).
 
-        ``workers_from`` wins over ``jobs``: a distributed fleet subsumes a
-        local pool.  The remote executor is the process-wide shared instance
+        ``workers_from`` wins over ``jobs``: a distributed fleet subsumes
+        local workers.  The remote executor is the process-wide shared instance
         for its address (one listener per address, however many engines), so
         ``close()`` on this engine leaves the fleet up for its siblings.
         """
@@ -724,14 +698,15 @@ class DelayAVFEngine:
                     shard_timeout=self.config.shard_timeout,
                     max_retries=self.config.max_retries,
                     retry_backoff=self.config.retry_backoff,
-                    max_pool_rebuilds=self.config.max_pool_rebuilds,
+                    breaker_threshold=self.config.breaker_threshold,
+                    breaker_reset_seconds=self.config.breaker_reset_seconds,
                 )
             else:
                 self._executor = SerialExecutor()
         return self._executor
 
     def close(self) -> None:
-        """Shut down any worker pool and flush the verdict cache."""
+        """Stop any worker processes and flush the verdict cache."""
         if self._executor is not None:
             self._executor.close()
             self._executor = None
@@ -753,8 +728,8 @@ class DelayAVFEngine:
 
         The plan orders shards cycle-outermost so the fault-free waveforms
         and GroupACE caches are reused maximally (the paper's §V-C caching);
-        the executor (serial by default, process-pool when ``config.jobs >
-        1`` or passed explicitly) decides where shards run.  Results merge
+        the executor (serial by default, local workers when ``config.jobs >
+        1``, or passed explicitly) decides where shards run.  Results merge
         deterministically by (cycle, wire, delay), so every executor yields
         identical records.
 
@@ -763,7 +738,8 @@ class DelayAVFEngine:
         record table instead of executed, so an interrupted campaign picks
         up from its last incrementally-flushed shard.  The result's
         ``degraded`` flag reports whether fault-tolerant execution had to
-        recycle the worker pool or fall back to serial shards on the way.
+        evict a worker, time a shard out, or fall back to serial shards on
+        the way.
         """
         resume = self.config.resume if resume is None else bool(resume)
         before = self.telemetry.snapshot()
@@ -810,7 +786,7 @@ class DelayAVFEngine:
         :meth:`run_structure` calls — only the packing changes.
 
         Falls back to sequential :meth:`run_structure` calls when lane
-        packing is off (``lanes=1``) or shards run on a worker pool
+        packing is off (``lanes=1``) or shards run on worker processes
         (``jobs > 1``; workers pack per-shard instead).  Because the
         prefetch is shared, the per-campaign ``campaign`` wall-clock slices
         overlap: the shared prefetch seconds are reported once, not split
@@ -1261,7 +1237,6 @@ class DelayAVFEngine:
             result.telemetry.count(counter)
             for counter in (
                 "shard_timeouts",
-                "pool_rebuilds",
                 "serial_fallbacks",
                 "remote_workers_evicted",
             )
@@ -1378,8 +1353,8 @@ def run_structures_spanning(
     byte-identical to sequential :meth:`DelayAVFEngine.run_structure` calls
     per engine.
 
-    Engines that cannot join a packed group (lane packing off, or a worker
-    pool configured) fall back to their own :meth:`run_structures` path;
+    Engines that cannot join a packed group (lane packing off, or worker
+    processes configured) fall back to their own :meth:`run_structures` path;
     engines whose netlists differ (e.g. ECC variants) still batch — the
     packer partitions lanes by netlist internally.  Returns one
     ``{structure: result}`` dict per input engine, in order.

@@ -7,23 +7,24 @@ The campaign engine plans a structure campaign into per-cycle
 - :class:`SerialExecutor` runs every shard in-process against the engine's
   live :class:`repro.core.campaign.CampaignSession` (the historical
   behaviour, and the default).
-- :class:`ParallelExecutor` fans shards out to a ``ProcessPoolExecutor``.
-  Each worker rebuilds the session once from a picklable
-  :class:`SessionSpec` (system factory + program + config) and then serves
-  shards from its warm caches; the pool is kept alive across
-  ``run_structure`` calls so consecutive structure campaigns reuse worker
-  sessions exactly like the serial engine reuses its one session.
+- :class:`ParallelExecutor` starts ``jobs`` local worker processes and
+  hands the plan to a private loopback
+  :class:`repro.distrib.coordinator.RemoteExecutor`.  Each worker rebuilds
+  the session once from the JSON form of a :class:`SessionSpec` (system
+  factory + program + config) and then serves shards from its warm caches;
+  the workers stay up across ``run_structure`` calls so consecutive
+  structure campaigns reuse worker sessions exactly like the serial engine
+  reuses its one session.
 
-The parallel executor is fault tolerant: shards are submitted as individual
-futures with a per-shard timeout and a bounded retry-with-backoff budget; a
-worker crash (``BrokenProcessPool``) or a hung shard recycles the pool and
-re-submits only the unfinished shards; once the pool-rebuild budget is
-exhausted the remaining shards finish in-process on the serial path.  Every
-recovery action is counted in campaign telemetry (``shard_retries``,
-``shard_timeouts``, ``pool_rebuilds``, ``serial_fallbacks``) so operators
-can see that a campaign limped home — but the *records* are unaffected:
-shard execution is deterministic and :func:`merge_shard_results` is
-order-independent, so a recovered campaign is byte-identical to a clean one.
+Fault tolerance lives in one place, the fleet coordinator: per-shard
+timeout, bounded retry-with-backoff, eviction of dead or hung workers with
+re-dispatch of only the unfinished shards, and in-process serial fallback.
+Every recovery action is counted in campaign telemetry (``shard_retries``,
+``shard_timeouts``, ``remote_workers_evicted``, ``serial_fallbacks``) so
+operators can see that a campaign limped home — but the *records* are
+unaffected: shard execution is deterministic and
+:func:`merge_shard_results` is order-independent, so a recovered campaign
+is byte-identical to a clean one.
 
 Shard results are merged deterministically in plan order, so serial and
 parallel runs produce identical :class:`StructureCampaignResult` records —
@@ -33,13 +34,10 @@ the executors differ only in wall-clock time and telemetry.
 from __future__ import annotations
 
 import abc
-import atexit
 import base64
 import importlib
-import os
+import threading
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -59,10 +57,10 @@ from repro.core.telemetry import CampaignTelemetry
 class SessionSpec:
     """Everything a worker needs to rebuild a campaign session.
 
-    ``system_factory`` must be picklable by reference (a module-level
-    callable, e.g. :func:`repro.soc.system.build_system`); ``factory_kwargs``
-    is a tuple of ``(name, value)`` pairs so the spec stays hashable-free but
-    comparable and picklable.
+    ``system_factory`` must be importable by reference (a module-level
+    callable, e.g. :func:`repro.soc.system.build_system`): workers resolve
+    it from its ``module:qualname``.  ``factory_kwargs`` is a tuple of
+    ``(name, value)`` pairs so the spec stays comparable.
     """
 
     system_factory: Callable[..., Any]
@@ -83,20 +81,18 @@ class SessionSpec:
             self.program,
             self.config,
             verdict_cache=open_configured_cache(system, self.program, self.config),
-            _internal=True,
         )
 
     # ------------------------------------------------------------------
-    # Wire round-trip: the JSON-safe twin of the picklable form, used by
-    # the distributed coordinator to ship specs to remote workers that
-    # share no process ancestry (and possibly no machine).
+    # Wire round-trip: how the fleet coordinator ships specs to its
+    # workers, local or remote (no shared process state assumed).
     # ------------------------------------------------------------------
     def to_payload(self) -> Dict[str, Any]:
         """A JSON-safe dict :meth:`from_payload` rebuilds exactly.
 
-        The factory travels by dotted reference (``module:qualname``) — the
-        same by-reference contract pickling already imposes — the program
-        image as base64, the config through its own payload round-trip.
+        The factory travels by dotted reference (``module:qualname``), the
+        program image as base64, the config through its own payload
+        round-trip.
         Factory kwarg values must be JSON-representable primitives (the
         existing specs only carry booleans).
         """
@@ -118,7 +114,7 @@ class SessionSpec:
         """Rebuild a spec from its wire form (inverse of :meth:`to_payload`).
 
         Trusts its coordinator: the factory reference is imported and
-        resolved, exactly as unpickling would.  Workers only ever deserialize
+        resolved.  Workers only ever deserialize
         specs from the coordinator they explicitly connected to.
         """
         from repro.core.campaign import CampaignConfig
@@ -226,7 +222,7 @@ def shard_result_from_payload(
 
 
 # ----------------------------------------------------------------------
-# The shard inner loop (shared verbatim by both executors)
+# The shard inner loop (shared verbatim by serial runs and every worker)
 # ----------------------------------------------------------------------
 def execute_shard(session, plan: CampaignPlan, shard: WorkShard) -> ShardResult:
     """Run every (wire, delay) injection of one sampled cycle.
@@ -491,7 +487,7 @@ def merge_shard_results(
 ) -> StructureCampaignResult:
     """Deterministic merge: shard (= cycle) order, then shard-internal order.
 
-    Keyed by ``shard_index`` so out-of-order completion (a parallel pool) and
+    Keyed by ``shard_index`` so out-of-order completion (a worker fleet) and
     in-order completion (the serial executor) assemble byte-identical
     results.
     """
@@ -539,7 +535,7 @@ class Executor(abc.ABC):
         """
 
     def close(self) -> None:  # pragma: no cover - trivial default
-        """Release executor resources (worker pools); idempotent."""
+        """Release executor resources (worker processes); idempotent."""
 
 
 class SerialExecutor(Executor):
@@ -568,303 +564,142 @@ class SerialExecutor(Executor):
         return results
 
 
-# Per-worker-process session, built once by the pool initializer.
-_WORKER_SESSION = None
-
-
-def _worker_flush() -> None:
-    """Final unconditional flush of a worker's verdict cache at process exit.
-
-    Pool workers exit normally when the pool shuts down (they drain a
-    sentinel), so this ``atexit`` hook runs and persists whatever the
-    throttled per-shard flushes have not yet written.  A crashed worker
-    (``os._exit``, OOM kill) skips it — the engine's post-merge re-put of
-    every record covers that case.
-    """
-    session = _WORKER_SESSION
-    if session is not None and session.verdict_cache is not None:
-        session.verdict_cache.flush()
-
-
-def _worker_init(spec: SessionSpec) -> None:
-    global _WORKER_SESSION
-    # A forked worker inherits the parent's tracer buffer — reset it so the
-    # coordinator's spans do not come back duplicated with shard results, and
-    # enable tracing only when the campaign asked for it.
-    tracing.configure(
-        bool(getattr(spec.config, "trace", False)), reset=True
-    )
-    _WORKER_SESSION = spec.build_session()
-    atexit.register(_worker_flush)
-
-
-def _maybe_inject_worker_fault(shard: WorkShard) -> None:
-    """Test seam: deterministically fault a pool worker (CI fault smoke).
-
-    ``REPRO_FAULT_WORKER=<mode>:<shard index>`` faults the worker that picks
-    up the named shard; *mode* is ``crash`` (``os._exit``, breaking the
-    pool), ``hang`` (sleep ``REPRO_FAULT_HANG_SECONDS``, default 3600, to
-    trip the per-shard timeout), or ``raise`` (an ordinary exception, to
-    exercise retry).  When ``REPRO_FAULT_ONCE_FILE`` names a marker file the
-    fault fires at most once across all workers and attempts — the first
-    process to atomically create the marker wins.  Only pool workers call
-    this, so the serial path (and the serial *fallback* path) is immune by
-    construction.
-    """
-    directive = os.environ.get("REPRO_FAULT_WORKER")
-    if not directive:
-        return
-    mode, _, index = directive.partition(":")
-    if not index or shard.index != int(index):
-        return
-    marker = os.environ.get("REPRO_FAULT_ONCE_FILE")
-    if marker:
-        try:
-            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
-            return  # the fault already fired once
-    if mode == "crash":
-        os._exit(23)
-    elif mode == "hang":
-        time.sleep(float(os.environ.get("REPRO_FAULT_HANG_SECONDS", "3600")))
-    elif mode == "raise":
-        raise RuntimeError(f"injected worker fault on shard {shard.index}")
-
-
-def _worker_run_shard(item: Tuple[CampaignPlan, WorkShard]) -> ShardResult:
-    plan, shard = item
-    _maybe_inject_worker_fault(shard)
-    session = _WORKER_SESSION
-    before = session.telemetry.snapshot()
-    result = execute_shard(session, plan, shard)
-    result.telemetry = session.telemetry.diff(before)
-    if tracing.enabled():
-        # Spans are plain dicts: they pickle back with the result, and the
-        # coordinator folds them into its own buffer (one trace per campaign,
-        # one Perfetto track per worker pid).
-        result.spans = tracing.drain()
-    return result
-
-
 class ShardExecutionError(RuntimeError):
     """A shard kept failing after its full retry budget was spent."""
 
 
+#: Seconds a freshly started local worker gets to connect and say hello.
+_WORKER_START_SECONDS = 30.0
+#: Seconds a local worker gets to drain its shutdown message at close.
+_WORKER_STOP_SECONDS = 10.0
+
+
 class ParallelExecutor(Executor):
-    """Fault-tolerant process-pool execution from a rebuilt-per-worker session.
+    """*jobs* local worker processes behind a private loopback fleet.
 
-    The pool (and with it every worker's session and caches) persists across
-    :meth:`execute` calls until :meth:`close` or a different spec arrives.
-    Requires a picklable :class:`SessionSpec` — construct the engine via
-    :meth:`repro.core.campaign.DelayAVFEngine.from_spec` (or pass ``spec=``)
-    to use it.
+    This executor only starts and stops its workers.  Everything else —
+    dispatch, retry with backoff, per-shard timeout, eviction, the circuit
+    breaker and serial fallback — is a
+    :class:`repro.distrib.coordinator.RemoteExecutor` bound to an ephemeral
+    loopback port that only these workers know.  Each worker runs the
+    ``repro worker`` loop (:func:`repro.distrib.worker.serve`), so local and
+    remote campaigns share one recovery path and one wire format.  Requires
+    a :class:`SessionSpec` — construct the engine via
+    :meth:`repro.core.campaign.DelayAVFEngine.from_spec` (or pass ``spec=``).
 
-    Failure handling, per :meth:`execute` call:
-
-    - A shard that *raises* in its worker is retried with exponential
-      backoff, up to *max_retries* further attempts, then the error
-      propagates as :class:`ShardExecutionError`.
-    - A shard that exceeds *shard_timeout* seconds counts as a pool failure
-      too: the hung worker cannot be cancelled, so the pool is recycled
-      (workers terminated) and unfinished shards re-submitted.  The timeout
-      clock for a shard starts when the executor begins waiting on its
-      future; waits happen in submission order, so time spent on earlier
-      shards only ever *extends* a later shard's effective budget — the
-      timeout is conservative, never premature.  Budget it to cover a cold
-      worker's golden run plus the slowest expected shard.
-    - A dead worker (``BrokenProcessPool``) poisons the whole pool: finished
-      futures are harvested, the pool is rebuilt, and only unfinished shards
-      are re-submitted — up to *max_pool_rebuilds* times, after which the
-      remaining shards degrade gracefully to in-process serial execution.
-      Results stay byte-identical because shard execution is deterministic
-      and the merge is order-independent.
+    - A worker the fleet evicts (its connection died, or its shard overran
+      *shard_timeout*) is terminated here; the next :meth:`execute` starts
+      a replacement, so a long-lived engine does not stay short-handed.
+    - A fleet that has lost every worker finishes the campaign serially at
+      once: nothing else can join a private listener, so there is nothing
+      to wait for.
+    - Workers and their warm sessions persist across :meth:`execute` calls
+      until :meth:`close`, which leaves no worker process alive.
     """
 
     def __init__(
         self,
         jobs: int = 2,
-        mp_context=None,
         shard_timeout: Optional[float] = None,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
-        max_pool_rebuilds: int = 1,
+        breaker_threshold: int = 3,
+        breaker_reset_seconds: float = 60.0,
     ):
         self.jobs = max(1, int(jobs))
         self.shard_timeout = shard_timeout
-        self.max_retries = max(0, int(max_retries))
-        self.retry_backoff = max(0.0, float(retry_backoff))
-        self.max_pool_rebuilds = max(0, int(max_pool_rebuilds))
-        self._mp_context = mp_context
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._spec: Optional[SessionSpec] = None
-        self._fallback_session = None
+        self.max_retries = max_retries
+        self.retry_backoff = retry_backoff
+        self.breaker_threshold = breaker_threshold
+        self.breaker_reset_seconds = breaker_reset_seconds
+        self._fleet = None  #: the private RemoteExecutor, once started
+        self._processes: Dict[int, Any] = {}  #: pid -> worker Process
 
     def execute(self, plan, session=None, spec=None, progress=None):
         if spec is None:
             raise ValueError(
-                "ParallelExecutor needs a picklable SessionSpec; construct "
-                "the engine via DelayAVFEngine.from_spec(...)"
+                "ParallelExecutor needs a SessionSpec to ship to its workers; "
+                "construct the engine via DelayAVFEngine.from_spec(...)"
             )
-        # Recovery actions are charged to the campaign's telemetry when the
-        # engine's live session rides along (the normal path); direct calls
-        # without one still work, their counters just land in a throwaway.
         telemetry = session.telemetry if session is not None else CampaignTelemetry()
-        done: Dict[int, ShardResult] = {}
-        pending: Dict[int, WorkShard] = {shard.index: shard for shard in plan.shards}
-        attempts: Dict[int, int] = {index: 0 for index in pending}
-        rebuilds_left = self.max_pool_rebuilds
-        retry_rounds = 0
-        while pending:
-            pool = self._ensure_pool(spec)
-            with tracing.span(
-                "executor.submit", cat="executor", shards=len(pending)
-            ):
-                futures = [
-                    (index, pool.submit(_worker_run_shard, (plan, pending[index])))
-                    for index in sorted(pending)
-                ]
-            pool_failed = had_retries = False
-            for index, future in futures:
-                if pool_failed:
-                    # Harvest shards that finished before the failure ("only
-                    # unfinished shards are re-submitted"); abandon the rest.
-                    if future.done() and not future.cancelled():
-                        try:
-                            done[index] = future.result(timeout=0)
-                            pending.pop(index)
-                            self._harvested(done[index], progress)
-                            continue
-                        except Exception:
-                            pass
-                    future.cancel()
-                    continue
-                try:
-                    done[index] = future.result(timeout=self.shard_timeout)
-                    pending.pop(index)
-                    self._harvested(done[index], progress)
-                except BrokenExecutor:
-                    pool_failed = True
-                except FutureTimeoutError:
-                    telemetry.incr("shard_timeouts")
-                    tracing.instant(
-                        "executor.shard_timeout", cat="executor", shard=index
-                    )
-                    if progress is not None:
-                        progress.note("timeouts")
-                    attempts[index] += 1
-                    pool_failed = True  # the hung worker poisons the pool
-                except Exception as exc:
-                    attempts[index] += 1
-                    if attempts[index] > self.max_retries:
-                        raise ShardExecutionError(
-                            f"shard {index} (cycle {pending[index].cycle}) "
-                            f"failed {attempts[index]} times; giving up"
-                        ) from exc
-                    telemetry.incr("shard_retries")
-                    tracing.instant(
-                        "executor.retry", cat="executor", shard=index
-                    )
-                    if progress is not None:
-                        progress.note("retries")
-                    had_retries = True
-            if pool_failed:
-                with tracing.span("executor.pool_rebuild", cat="executor"):
-                    self._discard_pool()
-                if rebuilds_left > 0:
-                    rebuilds_left -= 1
-                    telemetry.incr("pool_rebuilds")
-                    telemetry.incr("shard_retries", len(pending))
-                    if progress is not None:
-                        progress.note("pool_rebuilds")
-                    continue
-                # Pool-rebuild budget exhausted: limp home in-process.
-                telemetry.incr("serial_fallbacks")
-                if progress is not None:
-                    progress.note("serial_fallbacks")
-                with tracing.span(
-                    "executor.serial_fallback", cat="executor",
-                    shards=len(pending),
-                ):
-                    fallback = self._serial_session(session, spec)
-                    for index in sorted(pending):
-                        before = (
-                            fallback.telemetry.snapshot()
-                            if progress is not None
-                            else None
-                        )
-                        done[index] = execute_shard(fallback, plan, pending[index])
-                        if progress is not None:
-                            progress.shard_done(fallback.telemetry.diff(before))
-                pending.clear()
-            elif had_retries and pending:
-                retry_rounds += 1
-                time.sleep(
-                    min(2.0, self.retry_backoff * (2 ** (retry_rounds - 1)))
-                )
-        return [done[index] for index in sorted(done)]
+        self._start_workers(telemetry)
+        return self._fleet.execute(plan, session, spec, progress)
 
-    @staticmethod
-    def _harvested(result: ShardResult, progress) -> None:
-        """Progress bookkeeping for one shard result back from the pool."""
-        if progress is not None:
-            progress.shard_done(result.telemetry)
+    def _start_workers(self, telemetry: CampaignTelemetry) -> None:
+        """Top the fleet up to *jobs* workers and wait until they joined."""
+        # Imported here: `import repro` must not pull in the fleet code.
+        import multiprocessing
 
-    def _serial_session(self, session, spec: SessionSpec):
-        """The session serial-fallback shards run against.
+        from repro.distrib.coordinator import RemoteExecutor
+        from repro.distrib.worker import serve_local
 
-        Prefers the engine's live session (records and telemetry then flow
-        exactly like a :class:`SerialExecutor` run); a standalone executor
-        builds one from the spec and keeps it for subsequent fallbacks.
-        """
-        if session is not None:
-            return session
-        if self._fallback_session is None:
-            self._fallback_session = spec.build_session()
-        return self._fallback_session
-
-    def _ensure_pool(self, spec: SessionSpec) -> ProcessPoolExecutor:
-        if self._pool is not None and self._spec != spec:
-            self.close()
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                mp_context=self._mp_context,
-                initializer=_worker_init,
-                initargs=(spec,),
+        if self._fleet is None:
+            self._fleet = RemoteExecutor(
+                "127.0.0.1:0",
+                shard_timeout=self.shard_timeout,
+                max_retries=self.max_retries,
+                retry_backoff=self.retry_backoff,
+                worker_wait_seconds=0.0,
+                breaker_threshold=self.breaker_threshold,
+                breaker_reset_seconds=self.breaker_reset_seconds,
+                on_evict=self._stop_worker,
             )
-            self._spec = spec
-        return self._pool
+        for pid, process in list(self._processes.items()):
+            if not process.is_alive():
+                process.join()
+                del self._processes[pid]
+        host, port = self._fleet.address
+        # Forked workers start at once.  A process with other threads (the
+        # campaign service) spawns them instead: a forked child can inherit
+        # a lock another thread held, and deadlock on it.
+        fork = (
+            threading.active_count() == 1
+            and "fork" in multiprocessing.get_all_start_methods()
+        )
+        context = multiprocessing.get_context("fork" if fork else "spawn")
+        while len(self._processes) < self.jobs:
+            process = context.Process(
+                target=serve_local, args=(host, port), daemon=True
+            )
+            process.start()
+            self._processes[process.pid] = process
+        deadline = time.monotonic() + _WORKER_START_SECONDS
+        while time.monotonic() < deadline:
+            joined = self._fleet.greet_workers(telemetry)
+            if all(
+                pid in joined or not process.is_alive()
+                for pid, process in self._processes.items()
+            ):
+                break
+            time.sleep(0.005)
 
-    def _discard_pool(self) -> None:
-        """Tear down a broken or hung pool without waiting on its workers.
-
-        Hung workers never drain the shutdown sentinel, so they are
-        terminated outright before the (non-blocking) shutdown; a later
-        :meth:`_ensure_pool` builds a fresh pool.
-        """
-        pool, self._pool, self._spec = self._pool, None, None
-        if pool is None:
-            return
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
+    def _stop_worker(self, pid: Optional[int]) -> None:
+        """Terminate an evicted worker (a hung one would never exit)."""
+        process = self._processes.pop(pid, None)
+        if process is not None:
+            _stop_process(process, grace=0.0)
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._spec = None
-        if self._fallback_session is not None:
-            if self._fallback_session.verdict_cache is not None:
-                self._fallback_session.verdict_cache.flush()
-            self._fallback_session = None
+        fleet, self._fleet = self._fleet, None
+        if fleet is not None:
+            fleet.shutdown()  # every worker gets a shutdown message
+        for process in self._processes.values():
+            _stop_process(process, grace=_WORKER_STOP_SECONDS)
+        self._processes.clear()
 
     def __enter__(self) -> "ParallelExecutor":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _stop_process(process, grace: float) -> None:
+    """Wait *grace* seconds for *process* to exit, then terminate, then kill."""
+    process.join(grace)
+    if process.is_alive():
+        process.terminate()
+        process.join(_WORKER_STOP_SECONDS)
+    if process.is_alive():
+        process.kill()
+        process.join()

@@ -4,7 +4,7 @@ A multi-minute parallel campaign is silent between ``analyze()`` and its
 result.  :class:`ProgressReporter` streams liveness from the executor's
 completion loop: shards done/total, ETA extrapolated from the observed
 per-shard rate, the record-cache hit rate, recovery-action counts (retries,
-timeouts, pool rebuilds, serial fallbacks), and — during adaptive
+timeouts, evictions, serial fallbacks), and — during adaptive
 refinement — the current CI half-width versus its target.
 
 Two channels, both optional:
@@ -25,30 +25,12 @@ synchronisation is needed beyond a thread lock.
 from __future__ import annotations
 
 import json
-import os
 import sys
-import tempfile
 import time
 from threading import Lock
 from typing import Any, Dict, Optional
 
-
-def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=os.path.basename(path), suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+from repro.atomic import atomic_write
 
 
 class Heartbeat:
@@ -57,17 +39,24 @@ class Heartbeat:
     def __init__(self, path: str, min_interval: float = 2.0):
         self.path = path
         self.min_interval = max(0.0, float(min_interval))
-        self._last_beat = 0.0
+        #: None until the first beat, which always writes: ``monotonic()``
+        #: counts from an arbitrary origin (boot, on Linux), so a zero
+        #: start would throttle the first beat on a freshly booted host
+        self._last_beat: Optional[float] = None
 
     def beat(self, payload: Dict[str, Any], force: bool = False) -> bool:
         """Write *payload* if the throttle window has elapsed (or *force*)."""
         now = time.monotonic()
-        if not force and now - self._last_beat < self.min_interval:
+        if (
+            not force
+            and self._last_beat is not None
+            and now - self._last_beat < self.min_interval
+        ):
             return False
         self._last_beat = now
         payload = dict(payload)
         payload["updated_unix"] = time.time()
-        _atomic_write_json(self.path, payload)
+        atomic_write(self.path, json.dumps(payload, indent=2, sort_keys=True))
         return True
 
 
@@ -97,7 +86,7 @@ class ProgressReporter:
         self._lock = Lock()
         self._is_tty = bool(getattr(self.stream, "isatty", lambda: False)())
         self._started = 0.0
-        self._last_line = 0.0
+        self._last_line: Optional[float] = None  #: see Heartbeat._last_beat
         self._wrote_ticker = False
         self.total = 0
         self.done = 0
@@ -239,7 +228,11 @@ class ProgressReporter:
             self.stream.write("\r\x1b[K" + self._format_line())
             self.stream.flush()
             self._wrote_ticker = True
-        elif force or now - self._last_line >= self.LINE_INTERVAL:
+        elif (
+            force
+            or self._last_line is None
+            or now - self._last_line >= self.LINE_INTERVAL
+        ):
             self._last_line = now
             self.stream.write(self._format_line() + "\n")
             self.stream.flush()

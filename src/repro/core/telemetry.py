@@ -29,10 +29,10 @@ into one campaign report, and snapshots/diffs are plain dicts, so they pickle
 across process boundaries.
 
 The fault-tolerance counters (``shard_retries``, ``shard_timeouts``,
-``pool_rebuilds``, ``serial_fallbacks``, ``shards_resumed``) record how hard
-the executors had to work to bring a campaign home; a non-zero
-``shard_timeouts``, ``pool_rebuilds``, or ``serial_fallbacks`` also raises
-the ``degraded`` flag on the campaign's
+``remote_workers_evicted``, ``serial_fallbacks``, ``shards_resumed``) record
+how hard the executors had to work to bring a campaign home; a non-zero
+``shard_timeouts``, ``remote_workers_evicted``, or ``serial_fallbacks`` also
+raises the ``degraded`` flag on the campaign's
 :class:`repro.core.results.StructureCampaignResult`.  The robustness counters
 (``refinement_rounds``, ``extra_shards``, ``guard_violations``) and the
 ``ci_half_width`` gauge record what the adaptive-precision loop and the
@@ -78,12 +78,11 @@ COUNTER_ORDER = (
     "lane_slots",
     "shard_retries",
     "shard_timeouts",
-    "pool_rebuilds",
     "serial_fallbacks",
     "shards_resumed",
-    # Remote-worker fleet lifecycle (counted by the distributed coordinator,
+    # Worker fleet lifecycle, local or remote (counted by
     # repro.distrib.coordinator.RemoteExecutor; an eviction also raises the
-    # campaign's degraded flag, like pool rebuilds do for the process pool).
+    # campaign's degraded flag).
     "remote_workers_joined",
     "remote_workers_evicted",
     "remote_shards_completed",

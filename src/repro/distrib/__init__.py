@@ -7,18 +7,17 @@ package lets those shards leave the box, in the DAVOS host/controller shape:
 
 - :mod:`repro.distrib.transport` — stdlib-only message channels: JSON lines
   over a TCP socket, or a file queue on a shared filesystem.
-- :mod:`repro.distrib.worker` — the ``repro worker`` loop: connect, rebuild
-  sessions from wire-serializable :class:`repro.core.executor.SessionSpec`
-  payloads, serve shards from warm caches exactly like a
-  :class:`~repro.core.executor.ParallelExecutor` pool worker, stream back
+- :mod:`repro.distrib.worker` — the worker loop: connect, rebuild sessions
+  from wire-serializable :class:`repro.core.executor.SessionSpec` payloads,
+  serve shards from warm caches, stream back
   :class:`~repro.core.executor.ShardResult` payloads (records + telemetry
-  delta + trace spans).
-- :mod:`repro.distrib.coordinator` — :class:`RemoteExecutor`, an
-  :class:`repro.core.executor.Executor` that dispatches shards to the fleet
-  and reuses the PR 3 fault-tolerance semantics across hosts: per-shard
-  timeout, bounded retry-with-backoff, dead-worker eviction with
-  re-submission of only the unfinished shards, and serial fallback when the
-  fleet empties.
+  delta + trace spans).  ``repro worker`` runs it on any host; the local
+  processes of a :class:`~repro.core.executor.ParallelExecutor` run it too.
+- :mod:`repro.distrib.coordinator` — :class:`RemoteExecutor`, the repo's
+  one fault-tolerant shard executor: per-shard timeout, bounded
+  retry-with-backoff, dead-worker eviction with re-dispatch of only the
+  unfinished shards, a circuit breaker, and serial fallback when the fleet
+  empties.
 
 Records are byte-identical to :class:`~repro.core.executor.SerialExecutor`
 runs — shard execution is deterministic and the merge is order-independent —

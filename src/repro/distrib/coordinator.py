@@ -1,9 +1,11 @@
-"""The coordinator side of distributed campaign execution.
+"""The coordinator side of fleet campaign execution.
 
 :class:`RemoteExecutor` is an :class:`~repro.core.executor.Executor` that
-dispatches a plan's shards to remote ``repro worker`` processes and reuses
-the :class:`~repro.core.executor.ParallelExecutor` fault-tolerance semantics
-across hosts:
+dispatches a plan's shards to worker processes — ``repro worker`` processes
+on any host, or the local workers of a
+:class:`~repro.core.executor.ParallelExecutor`, which drives a private
+instance of this class.  It is the repo's one fault-tolerant shard
+executor:
 
 - one shard in flight per worker, dispatched over a
   :class:`~repro.distrib.transport.MessageChannel` (socket or file queue);
@@ -11,10 +13,9 @@ across hosts:
   *max_retries* further attempts, then propagates as
   :class:`~repro.core.executor.ShardExecutionError`;
 - a shard exceeding *shard_timeout* evicts its (presumed hung) worker and
-  requeues the shard — the remote analogue of recycling a hung pool;
+  requeues the shard, charging it one attempt;
 - a dropped connection evicts the worker and requeues its in-flight shard
-  *without* charging the retry budget (the remote analogue of the
-  ``BrokenProcessPool`` path: the shard did nothing wrong);
+  *without* charging the retry budget (the shard did nothing wrong);
 - when the fleet empties and stays empty for *worker_wait_seconds*, the
   remaining shards limp home in-process on the serial path.
 
@@ -48,10 +49,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import select
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.core import tracing
 from repro.core.breaker import HALF_OPEN, OPEN, CircuitBreaker
@@ -68,6 +70,7 @@ from repro.core.telemetry import CampaignTelemetry
 from repro.distrib.transport import (
     CorruptFrameError,
     FileQueueListener,
+    SocketChannel,
     SocketListener,
     TransportError,
     parse_workers_from,
@@ -103,6 +106,10 @@ class RemoteExecutor(Executor):
     *shard_timeout* must cover a cold worker's session build (golden run)
     plus the slowest expected shard — the clock starts at dispatch, and the
     first shard a worker sees pays the whole session rebuild.
+
+    *on_evict*, when given, is called with the pid an evicted worker
+    announced (``None`` if it never said hello); the owner of local worker
+    processes uses it to terminate them.
     """
 
     def __init__(
@@ -115,8 +122,10 @@ class RemoteExecutor(Executor):
         worker_wait_seconds: float = 30.0,
         breaker_threshold: int = 3,
         breaker_reset_seconds: float = 60.0,
+        on_evict: Optional[Callable[[Optional[int]], None]] = None,
     ):
         self.workers_from = workers_from
+        self.on_evict = on_evict
         self.shard_timeout = shard_timeout
         self.max_retries = max(0, int(max_retries))
         self.retry_backoff = max(0.0, float(retry_backoff))
@@ -220,6 +229,9 @@ class RemoteExecutor(Executor):
                     time.sleep(0.05)
                     continue
                 fleet_empty_since = None
+                # Waiting before collecting, not after, lets a worker that
+                # just answered get its next shard without a tick's delay.
+                self._wait_for_messages(0.02)
                 had_retries = self._collect(
                     plan_id, shards, inflight, pending, done, attempts,
                     telemetry, progress, dispatch_span,
@@ -232,8 +244,6 @@ class RemoteExecutor(Executor):
                     time.sleep(
                         min(2.0, self.retry_backoff * (2 ** (retry_rounds - 1)))
                     )
-                elif len(done) < len(shards):
-                    time.sleep(0.02)
         if self._run_evictions == 0 and self.breaker.record_success():
             # A clean run through a previously tripped breaker: the fleet
             # (or lack of one) is healthy again.
@@ -308,6 +318,29 @@ class RemoteExecutor(Executor):
             if progress is not None:
                 progress.note("workers_joined")
 
+    def greet_workers(self, telemetry) -> Set[int]:
+        """Accept waiting workers, read their hellos; returns the known pids.
+
+        Lets an owner of local workers wait until all of them have joined
+        before a campaign starts.  Only workers that have not said hello yet
+        are polled, and a fresh worker sends nothing else before its first
+        shard, so no campaign message is consumed here.
+        """
+        self._accept_new_workers(telemetry, None)
+        for worker in list(self._workers.values()):
+            if worker.pid is not None:
+                continue
+            try:
+                messages = worker.channel.poll()
+            except TransportError as exc:
+                self._note_transport_error(exc, telemetry)
+                self._evict(worker, {}, [], telemetry, None)
+                continue
+            for message in messages:
+                if message.get("type") == "hello":
+                    worker.pid = message.get("pid")
+        return {w.pid for w in self._workers.values() if w.pid is not None}
+
     def _sweep_spool(self, telemetry) -> None:
         """Throttled GC of the file-queue spool (no-op on socket fleets)."""
         sweep = getattr(self._listener, "sweep", None)
@@ -340,15 +373,16 @@ class RemoteExecutor(Executor):
     ) -> None:
         """Drop a dead worker; its in-flight shard (if any) is requeued.
 
-        Requeueing does *not* charge the shard's retry budget — mirroring the
-        pool's crash path, where a broken pool re-submits unfinished shards
-        without counting an attempt against them.
+        Requeueing does *not* charge the shard's retry budget: the worker
+        died, the shard did nothing wrong.
         """
         self._workers.pop(worker.key, None)
         try:
             worker.channel.close()
         except Exception:
             pass
+        if self.on_evict is not None:
+            self.on_evict(worker.pid)
         telemetry.incr("remote_workers_evicted")
         tracing.instant(
             "executor.worker_evicted", cat="executor", worker=worker.key
@@ -480,11 +514,10 @@ class RemoteExecutor(Executor):
     ) -> None:
         """Evict workers whose shard overran *shard_timeout*.
 
-        A remote shard cannot be cancelled any more than a hung pool worker
-        can, so the worker is evicted outright — like a pool recycle, the
-        timeout charges the shard one attempt but never raises; a shard that
-        times out everywhere ends in the serial fallback once the fleet is
-        gone.
+        A shard running on another process cannot be cancelled, so the
+        worker is evicted outright.  The timeout charges the shard one
+        attempt but never raises; a shard that times out everywhere ends in
+        the serial fallback once the fleet is gone.
         """
         if self.shard_timeout is None:
             return
@@ -503,6 +536,22 @@ class RemoteExecutor(Executor):
                 progress.note("timeouts")
             attempts[index] += 1
             self._evict(worker, inflight, pending, telemetry, progress)
+
+    def _wait_for_messages(self, timeout: float) -> None:
+        """Sleep until a socket worker has sent something, at most *timeout*.
+
+        Waking on the reply instead of on a fixed tick keeps a worker from
+        idling between shards.  File-queue channels cannot be waited on, so
+        a fleet with any of them just sleeps.
+        """
+        channels = [worker.channel for worker in self._workers.values()]
+        if all(isinstance(channel, SocketChannel) for channel in channels):
+            try:
+                select.select(channels, [], [], timeout)
+                return
+            except (OSError, ValueError):
+                pass  # a socket closed under us; the next poll evicts it
+        time.sleep(timeout)
 
     @staticmethod
     def _requeue_inflight(inflight, pending) -> None:

@@ -43,11 +43,11 @@ import json
 import os
 import select
 import socket
-import tempfile
 import time
 import uuid
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.atomic import atomic_write
 from repro.testing import chaos
 
 
@@ -172,6 +172,10 @@ class SocketChannel(MessageChannel):
             self._sock.sendall(data)
         except OSError as exc:
             raise TransportError(f"peer gone while sending: {exc}") from exc
+
+    def fileno(self) -> int:
+        """The socket's descriptor, so callers can ``select`` on channels."""
+        return self._sock.fileno()
 
     def _readable(self, timeout: float) -> bool:
         try:
@@ -309,36 +313,6 @@ def connect(
 # Writers publish with temp-file + os.replace (atomic on POSIX), readers
 # consume in sequence order and unlink behind themselves, so the spool stays
 # small and a torn message can never be observed.
-def _atomic_write_json(directory: str, name: str, payload: Dict[str, Any]) -> None:
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(prefix=name, suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, sort_keys=True)
-        os.replace(tmp_path, os.path.join(directory, name))
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
-def _atomic_write_bytes(directory: str, name: str, data: bytes) -> None:
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(prefix=name, suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_path, os.path.join(directory, name))
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
 def _spool_messages(directory: str) -> Tuple[List[Dict[str, Any]], int]:
     """Consume every complete spool file, in order: ``(messages, corrupt)``.
 
@@ -455,7 +429,7 @@ class FileQueueChannel(MessageChannel):
         self._seq += 1
         data = chaos.fire("transport.send", data=frame_message(message))
         try:
-            _atomic_write_bytes(self._send_dir, f"{self._seq:08d}.json", data)
+            atomic_write(os.path.join(self._send_dir, f"{self._seq:08d}.json"), data)
         except OSError as exc:
             raise TransportError(f"queue directory unusable: {exc}") from exc
 
@@ -548,9 +522,8 @@ def announce(directory: str, worker_id: Optional[str] = None) -> FileQueueChanne
     """
     worker_id = worker_id or uuid.uuid4().hex[:12]
     channel = FileQueueChannel(directory, worker_id, side="worker")
-    _atomic_write_json(
-        os.path.join(directory, "workers"),
-        f"{worker_id}.json",
-        {"worker_id": worker_id, "pid": os.getpid()},
+    atomic_write(
+        os.path.join(directory, "workers", f"{worker_id}.json"),
+        json.dumps({"worker_id": worker_id, "pid": os.getpid()}, sort_keys=True),
     )
     return channel

@@ -1,7 +1,9 @@
-"""The ``repro worker`` serve loop: execute shards a coordinator sends.
+"""The worker serve loop: execute shards a coordinator sends.
 
-A worker is the remote twin of a :class:`~repro.core.executor.ParallelExecutor`
-pool worker: it rebuilds a campaign session once per
+Every off-process shard runs here, whether the worker is a ``repro worker``
+on another host or one of the local processes a
+:class:`~repro.core.executor.ParallelExecutor` starts (:func:`serve_local`).
+A worker rebuilds a campaign session once per
 :class:`~repro.core.executor.SessionSpec` (golden run, analyzers, verdict
 cache) and then serves shards from those warm caches, streaming back
 :class:`~repro.core.executor.ShardResult` payloads that carry the records,
@@ -28,24 +30,24 @@ Sessions are cached per spec *digest*, so a coordinator serving several
 engines (the campaign service) can interleave their shards and every engine
 still hits a warm session.  The worker never interprets shard contents — it
 runs the exact :func:`repro.core.executor.execute_shard` inner loop the
-serial and pool paths run, which is what keeps remote records byte-identical.
+serial path runs, which is what keeps fleet records byte-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core import tracing
 from repro.core.executor import (
     SessionSpec,
-    _maybe_inject_worker_fault,
     execute_shard,
     shard_result_to_payload,
 )
 from repro.core.plan import CampaignPlan, WorkShard
-from repro.distrib.transport import MessageChannel, TransportError
+from repro.distrib.transport import MessageChannel, TransportError, connect
 
 
 def _build_session(spec: SessionSpec, cache_dir: Optional[str]):
@@ -123,9 +125,61 @@ def serve(
     return served
 
 
+def serve_local(host: str, port: int) -> None:
+    """Body of a :class:`~repro.core.executor.ParallelExecutor` worker process.
+
+    Connects to the executor's private loopback listener and serves until
+    told to shut down.  A vanished coordinator (its process died) or an
+    interrupt ends the loop quietly: the executor has already moved on.
+    """
+    try:
+        channel = connect(host, port, retry_seconds=10.0, retry_interval=0.05)
+    except TransportError:
+        return
+    try:
+        serve(channel)
+    except (TransportError, KeyboardInterrupt):
+        pass
+    finally:
+        channel.close()
+
+
 def uuid_of(channel: MessageChannel) -> str:
     """The channel's worker id when it has one (file queue), else the pid."""
     return str(getattr(channel, "worker_id", os.getpid()))
+
+
+def _maybe_inject_worker_fault(shard: WorkShard) -> None:
+    """Test seam: deterministically fault a worker (CI fault smokes).
+
+    ``REPRO_FAULT_WORKER=<mode>:<shard index>`` faults the worker that picks
+    up the named shard; *mode* is ``crash`` (``os._exit``, dropping the
+    connection), ``hang`` (sleep ``REPRO_FAULT_HANG_SECONDS``, default 3600,
+    to trip the per-shard timeout), or ``raise`` (an ordinary exception, to
+    exercise retry).  When ``REPRO_FAULT_ONCE_FILE`` names a marker file the
+    fault fires at most once across all workers and attempts — the first
+    process to atomically create the marker wins.  Only workers call this,
+    so the serial path (and the serial *fallback* path) is immune by
+    construction.
+    """
+    directive = os.environ.get("REPRO_FAULT_WORKER")
+    if not directive:
+        return
+    mode, _, index = directive.partition(":")
+    if not index or shard.index != int(index):
+        return
+    marker = os.environ.get("REPRO_FAULT_ONCE_FILE")
+    if marker:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return  # the fault already fired once
+    if mode == "crash":
+        os._exit(23)
+    elif mode == "hang":
+        time.sleep(float(os.environ.get("REPRO_FAULT_HANG_SECONDS", "3600")))
+    elif mode == "raise":
+        raise RuntimeError(f"injected worker fault on shard {shard.index}")
 
 
 def _serve_shard(

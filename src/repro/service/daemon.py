@@ -22,7 +22,7 @@ exit codes describe failures identically.
 
 ``SIGTERM``/``SIGINT`` trigger a graceful drain: new submissions get 503,
 queued and running jobs finish, engines close through the existing
-:func:`repro.api.shutdown` path (pools stop, verdict caches flush), then the
+:func:`repro.api.shutdown` path (workers stop, verdict caches flush), then the
 listener stops.
 """
 

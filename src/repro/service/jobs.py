@@ -813,7 +813,7 @@ class JobManager:
 
         Returns ``True`` when every accepted job reached a terminal state
         within *timeout* (``None`` waits indefinitely).  Engines are closed
-        through :func:`repro.api.shutdown` — worker pools stop, verdict
+        through :func:`repro.api.shutdown` — worker processes stop, verdict
         caches flush — exactly the existing graceful path.
         """
         with self._lock:

@@ -35,7 +35,7 @@ Two activation styles:
   ``REPRO_CHAOS_ONCE_FILE`` names a marker-file prefix; when set, each point
   fires at most once across *all* processes sharing the prefix (the claim is
   an ``O_CREAT | O_EXCL`` marker, the same idiom as the worker fault seam in
-  :mod:`repro.core.executor`), so "corrupt one message then behave" is
+  :mod:`repro.distrib.worker`), so "corrupt one message then behave" is
   expressible for multi-process fleets.
 
 Actions:

@@ -31,10 +31,10 @@ Regenerate the bundled table with ``python -m repro.workloads.lengths``.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Optional, Tuple
+
+from repro.atomic import atomic_write
 
 #: program signature -> fault-free cycles to halt (default SoC build)
 KNOWN_LENGTHS = {
@@ -120,7 +120,6 @@ class LengthStore:
         merged.update(self._load())
         merged[signature] = entry
         self._entries = merged
-        self.directory.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema_version": self.SCHEMA_VERSION,
             "lengths": {
@@ -128,19 +127,7 @@ class LengthStore:
                 for sig, (cycles_, digest_) in sorted(merged.items())
             },
         }
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=self.FILENAME, suffix=".tmp", dir=self.directory
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path, json.dumps(payload))
 
 
 def _measure() -> None:  # pragma: no cover - regeneration utility

@@ -8,22 +8,32 @@ differ.  In-process workers run :func:`repro.distrib.worker.serve` on daemon
 threads with ``configure_tracing=False`` so they never touch the host
 tracer; the crash test uses real ``repro worker`` subprocesses because the
 ``crash`` fault mode calls ``os._exit``.
+
+``ParallelExecutor`` (``--jobs N``) runs the same coordinator over N local
+worker processes, so its fault scenarios live here too.  Faults are injected
+through the ``REPRO_FAULT_WORKER`` seam in :mod:`repro.distrib.worker` (the
+same seam CI's fault smokes use): the worker that picks up the named shard
+crashes (``os._exit``), hangs, or raises.
 """
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.core import tracing
 from repro.core.campaign import CampaignConfig, DelayAVFEngine
 from repro.core.executor import (
+    ParallelExecutor,
     SerialExecutor,
     SessionSpec,
+    ShardExecutionError,
     execute_shard,
     shard_result_from_payload,
     shard_result_to_payload,
@@ -389,3 +399,136 @@ def test_default_executor_prefers_remote(tmp_path):
     finally:
         engine.close()
         shutdown_shared_executors()
+
+
+# ----------------------------------------------------------------------
+# Local fleets: ParallelExecutor(jobs=2) drives the same coordinator
+# ----------------------------------------------------------------------
+def _arm_fault_once(monkeypatch, tmp_path, directive, **env):
+    monkeypatch.setenv("REPRO_FAULT_WORKER", directive)
+    monkeypatch.setenv("REPRO_FAULT_ONCE_FILE", str(tmp_path / "fault.marker"))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+
+
+def _assert_no_worker_survives():
+    assert multiprocessing.active_children() == []
+
+
+def _assert_dead(pid):
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+def test_local_fleet_worker_crash_evicts_and_recovers(
+    monkeypatch, tmp_path, fib_engine, clean_result
+):
+    _arm_fault_once(monkeypatch, tmp_path, "crash:1")
+    with ParallelExecutor(jobs=2) as pool:
+        recovered = fib_engine.run_structure("alu", executor=pool)
+    _assert_no_worker_survives()
+    assert recovered == clean_result
+    _assert_identical(recovered, clean_result)
+    assert recovered.telemetry.count("remote_workers_evicted") == 1
+    assert recovered.telemetry.count("serial_fallbacks") == 0
+    assert recovered.degraded
+    assert not clean_result.degraded
+
+
+def test_local_fleet_worker_exception_retried(
+    monkeypatch, tmp_path, fib_engine, clean_result
+):
+    _arm_fault_once(monkeypatch, tmp_path, "raise:0")
+    with ParallelExecutor(jobs=2) as pool:
+        recovered = fib_engine.run_structure("alu", executor=pool)
+    _assert_no_worker_survives()
+    _assert_identical(recovered, clean_result)
+    assert recovered.telemetry.count("shard_retries") >= 1
+    assert recovered.telemetry.count("remote_workers_evicted") == 0
+    # A retried-and-recovered shard is routine, not a degraded campaign.
+    assert not recovered.degraded
+
+
+def test_local_fleet_exception_exhausts_retry_budget(monkeypatch, fib_engine):
+    # Fault every attempt (no once-marker): the retry budget must bound it.
+    monkeypatch.setenv("REPRO_FAULT_WORKER", "raise:0")
+    with ParallelExecutor(jobs=2, max_retries=1, retry_backoff=0.01) as pool:
+        with pytest.raises(ShardExecutionError, match="shard 0"):
+            fib_engine.run_structure("alu", executor=pool)
+    _assert_no_worker_survives()
+
+
+def test_local_fleet_hung_worker_evicted_and_terminated(
+    monkeypatch, tmp_path, fib_engine, clean_result
+):
+    _arm_fault_once(monkeypatch, tmp_path, "hang:1", REPRO_FAULT_HANG_SECONDS="300")
+    evicted = []
+    stop_worker = ParallelExecutor._stop_worker
+
+    def spy(self, pid):
+        evicted.append(pid)
+        stop_worker(self, pid)
+
+    monkeypatch.setattr(ParallelExecutor, "_stop_worker", spy)
+    with ParallelExecutor(jobs=2, shard_timeout=15) as pool:
+        recovered = fib_engine.run_structure("alu", executor=pool)
+        # The executor terminated the hung worker itself, before close().
+        assert evicted and all(pid is not None for pid in evicted)
+        for pid in evicted:
+            _assert_dead(pid)
+    _assert_no_worker_survives()
+    _assert_identical(recovered, clean_result)
+    assert recovered.telemetry.count("shard_timeouts") >= 1
+    assert recovered.telemetry.count("remote_workers_evicted") >= 1
+    assert recovered.degraded
+
+
+def test_local_fleet_lost_falls_back_to_serial_at_once(
+    monkeypatch, fib_engine, clean_result
+):
+    # Crash on every attempt: both workers die on shard 1, and the rest of
+    # the campaign must finish in-process (the fault seam only fires in
+    # workers) without waiting for workers that can never join.
+    monkeypatch.setenv("REPRO_FAULT_WORKER", "crash:1")
+    with ParallelExecutor(jobs=2) as pool:
+        started = time.monotonic()
+        recovered = fib_engine.run_structure("alu", executor=pool)
+        elapsed = time.monotonic() - started
+        _assert_identical(recovered, clean_result)
+        assert recovered.telemetry.count("remote_workers_evicted") == 2
+        assert recovered.telemetry.count("serial_fallbacks") == 1
+        assert recovered.degraded
+        assert elapsed < CampaignConfig().worker_wait_seconds
+        # The next campaign gets a full fleet again.
+        monkeypatch.delenv("REPRO_FAULT_WORKER")
+        again = fib_engine.run_structure("alu", executor=pool)
+    _assert_no_worker_survives()
+    _assert_identical(again, clean_result)
+    assert again.telemetry.count("remote_workers_joined") == 2
+    assert again.telemetry.count("remote_shards_completed") == 3
+    assert not again.degraded
+
+
+def test_local_fleet_spans_stitched_onto_worker_pids(clean_result):
+    engine = DelayAVFEngine.from_spec(
+        _fibcall_spec(dataclasses.replace(DISTRIB_CONFIG, trace=True))
+    )
+    tracing.enable(reset=True)
+    try:
+        with ParallelExecutor(jobs=2) as pool:
+            result = engine.run_structure("alu", executor=pool)
+            worker_pids = set(pool._processes)
+        _assert_identical(result, clean_result)
+        spans = tracing.drain()
+        remote_spans = [
+            s for s in spans if s.get("pid") not in (None, os.getpid())
+        ]
+        assert remote_spans, "no worker spans came back with the results"
+        assert {s["pid"] for s in remote_spans} <= worker_pids
+        roots = [s for s in remote_spans if s.get("parent_pid") == os.getpid()]
+        assert roots and all(r["parent"] is not None for r in roots)
+    finally:
+        tracing.disable()
+        tracing.reset()
+        engine.close()
+    _assert_no_worker_survives()

@@ -1,10 +1,8 @@
-"""Fault-tolerant campaign execution: retry, pool recovery, fallback, resume.
+"""Durable campaign execution: resume, throttled flushes, fault knobs.
 
-Worker faults are injected through the ``REPRO_FAULT_WORKER`` test seam in
-:mod:`repro.core.executor` (the same seam CI's fault-injection smoke job
-uses): the env var names a fault mode and a shard index, and the pool worker
-that picks up that shard crashes (``os._exit``), hangs, or raises.  The
-acceptance bar throughout is that a recovered campaign's records are
+Worker faults (crash, hang, raise) and their recovery are tested where the
+one fault-tolerant executor lives, in ``test_distrib.py``.  The acceptance
+bar here is the same: a resumed or recovered campaign's records are
 byte-identical to a clean serial run — only telemetry and the ``degraded``
 flag may differ.
 """
@@ -22,12 +20,7 @@ from repro.core.cache import (
     shard_key,
 )
 from repro.core.campaign import CampaignConfig, DelayAVFEngine
-from repro.core.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    SessionSpec,
-    execute_shard,
-)
+from repro.core.executor import SerialExecutor, SessionSpec, execute_shard
 from repro.core.group_ace import Outcome
 from repro.core.plan import build_plan
 from repro.soc.system import build_system
@@ -59,95 +52,6 @@ def fib_engine():
 def clean_result(fib_engine):
     """The clean serial reference every recovered run must reproduce."""
     return fib_engine.run_structure("alu", executor=SerialExecutor())
-
-
-def _arm_fault(monkeypatch, tmp_path, directive, once=True, **env):
-    monkeypatch.setenv("REPRO_FAULT_WORKER", directive)
-    if once:
-        monkeypatch.setenv("REPRO_FAULT_ONCE_FILE", str(tmp_path / "fault.marker"))
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-
-
-# ----------------------------------------------------------------------
-# Worker crash: pool rebuild, unfinished shards re-submitted
-# ----------------------------------------------------------------------
-def test_worker_crash_recovers_via_pool_rebuild(
-    monkeypatch, tmp_path, fib_engine, clean_result
-):
-    _arm_fault(monkeypatch, tmp_path, "crash:1")
-    with ParallelExecutor(jobs=2) as pool:
-        recovered = fib_engine.run_structure("alu", executor=pool)
-    assert recovered == clean_result
-    for delay in FAULT_CONFIG.delay_fractions:
-        assert (
-            recovered.by_delay[delay].records == clean_result.by_delay[delay].records
-        )
-    assert recovered.telemetry.count("pool_rebuilds") >= 1
-    assert recovered.telemetry.count("shard_retries") >= 1
-    assert recovered.degraded
-    assert not clean_result.degraded
-
-
-# ----------------------------------------------------------------------
-# Worker exception: bounded retry with backoff, pool survives
-# ----------------------------------------------------------------------
-def test_worker_exception_retried_without_pool_rebuild(
-    monkeypatch, tmp_path, fib_engine, clean_result
-):
-    _arm_fault(monkeypatch, tmp_path, "raise:0")
-    with ParallelExecutor(jobs=2) as pool:
-        recovered = fib_engine.run_structure("alu", executor=pool)
-    assert recovered == clean_result
-    assert recovered.telemetry.count("shard_retries") >= 1
-    assert recovered.telemetry.count("pool_rebuilds") == 0
-    # A retried-and-recovered shard is routine, not a degraded campaign.
-    assert not recovered.degraded
-
-
-def test_worker_exception_exhausts_retry_budget(monkeypatch, fib_engine):
-    from repro.core.executor import ShardExecutionError
-
-    # Fault every attempt (no once-marker): the retry budget must bound it.
-    monkeypatch.setenv("REPRO_FAULT_WORKER", "raise:0")
-    with ParallelExecutor(jobs=2, max_retries=1, retry_backoff=0.01) as pool:
-        with pytest.raises(ShardExecutionError, match="shard 0"):
-            fib_engine.run_structure("alu", executor=pool)
-
-
-# ----------------------------------------------------------------------
-# Hung worker: per-shard timeout recycles the pool
-# ----------------------------------------------------------------------
-def test_hung_worker_times_out_and_recovers(
-    monkeypatch, tmp_path, fib_engine, clean_result
-):
-    _arm_fault(
-        monkeypatch, tmp_path, "hang:1", REPRO_FAULT_HANG_SECONDS="300"
-    )
-    with ParallelExecutor(jobs=2, shard_timeout=15, max_pool_rebuilds=3) as pool:
-        recovered = fib_engine.run_structure("alu", executor=pool)
-    assert recovered == clean_result
-    assert recovered.telemetry.count("shard_timeouts") >= 1
-    assert recovered.telemetry.count("pool_rebuilds") >= 1
-    assert recovered.degraded
-
-
-# ----------------------------------------------------------------------
-# Repeated pool failure: graceful serial fallback finishes the campaign
-# ----------------------------------------------------------------------
-def test_repeated_pool_failure_degrades_to_serial(
-    monkeypatch, fib_engine, clean_result
-):
-    # Crash on every attempt: round 1 breaks the pool, the single rebuild
-    # breaks again, and the remaining shards must finish in-process (the
-    # fault seam only fires in pool workers, so the serial path is clean).
-    monkeypatch.setenv("REPRO_FAULT_WORKER", "crash:1")
-    with ParallelExecutor(jobs=2, max_pool_rebuilds=1) as pool:
-        recovered = fib_engine.run_structure("alu", executor=pool)
-    assert recovered == clean_result
-    assert recovered.telemetry.count("pool_rebuilds") == 1
-    assert recovered.telemetry.count("serial_fallbacks") >= 1
-    assert recovered.degraded
 
 
 # ----------------------------------------------------------------------
@@ -316,8 +220,6 @@ def test_config_validates_fault_knobs():
         CampaignConfig(max_retries=-1)
     with pytest.raises(ValueError, match="retry_backoff"):
         CampaignConfig(retry_backoff=-0.1)
-    with pytest.raises(ValueError, match="max_pool_rebuilds"):
-        CampaignConfig(max_pool_rebuilds=-1)
     with pytest.raises(ValueError, match="flush_every_shards"):
         CampaignConfig(flush_every_shards=0)
     with pytest.raises(ValueError, match="flush_max_seconds"):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -102,6 +103,21 @@ def test_heartbeat_throttles_and_forces(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["n"] == 3
     assert payload["updated_unix"] > 0
+
+
+def test_first_beat_and_line_written_on_freshly_booted_host(
+    tmp_path, monkeypatch
+):
+    """``monotonic()`` counts from boot on Linux: a host up for one second
+    must still get its first heartbeat and its first progress line."""
+    monkeypatch.setattr(time, "monotonic", lambda: 1.0)
+    heartbeat = Heartbeat(str(tmp_path / "status.json"), min_interval=3600.0)
+    assert heartbeat.beat({"state": "running"})
+    assert not heartbeat.beat({"state": "running"})  # throttled from then on
+    stream = io.StringIO()
+    reporter = ProgressReporter(stream=stream, enabled=True)
+    reporter.shard_done()  # an unforced emit
+    assert stream.getvalue().count("\n") == 1
 
 
 # ----------------------------------------------------------------------
