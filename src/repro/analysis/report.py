@@ -39,7 +39,7 @@ PREFERRED_ORDER = [
 def render_telemetry(
     telemetry: Optional[CampaignTelemetry], title: str = "campaign telemetry"
 ) -> str:
-    """Render campaign counters, gauges, and phase timers as a text block."""
+    """Render campaign counters, gauges, counter ratios, and phase timers."""
     if telemetry is None:
         return f"{title}: (none recorded)"
     known = {name: position for position, name in enumerate(COUNTER_ORDER)}
@@ -52,6 +52,7 @@ def render_telemetry(
         telemetry.gauges.items(),
         key=lambda item: (known_gauges.get(item[0], len(known_gauges)), item[0]),
     )
+    levels = gauges + list(telemetry.ratios().items())
     known_phases = {name: position for position, name in enumerate(PHASE_ORDER)}
     phases = sorted(
         telemetry.phase_seconds.items(),
@@ -63,12 +64,12 @@ def render_telemetry(
     # timed only inside workers (no coordinator span) shows wall as "—".
     wall_seconds = getattr(telemetry, "phase_wall_seconds", {}) or {}
     width = max(
-        (len(name) for name, _ in counters + gauges + phases), default=0
+        (len(name) for name, _ in counters + levels + phases), default=0
     )
     lines = [title]
     for name, value in counters:
         lines.append(f"  {name:<{width}}  {value}")
-    for name, value in gauges:
+    for name, value in levels:
         lines.append(f"  {name:<{width}}  {value:.6g}")
     if phases:
         wall_col = 12

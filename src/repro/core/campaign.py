@@ -70,9 +70,8 @@ from repro.core.stats import (
 )
 from repro.core.telemetry import CampaignTelemetry
 from repro.isa.assembler import Program
-from repro.sim.cyclesim import Checkpoint, RunResult
+from repro.sim.cyclesim import MAX_LANES, Checkpoint, RunResult
 from repro.sim.eventsim import CycleWaveforms
-from repro.sim.packed import MAX_LANES, PackedCycleSimulator
 from repro.workloads.lengths import LengthStore, known_length
 
 
@@ -1199,26 +1198,6 @@ class DelayAVFEngine:
             # End-to-end campaign wall-clock, recorded last so it bounds every
             # other phase's wall column in the result's telemetry slice.
             self.telemetry.add_seconds("campaign", time.perf_counter() - started)
-        # Lane-occupancy gauges, recomputed from this campaign's slice of the
-        # merged (coordinator + worker) counters: how full the packed words
-        # actually ran.
-        before_counters = before.get("counters", {})
-
-        def campaign_count(name: str) -> int:
-            return self.telemetry.count(name) - before_counters.get(name, 0)
-
-        slots = campaign_count("packed_cone_lane_slots")
-        if slots:
-            self.telemetry.set_gauge(
-                "packed_lane_occupancy",
-                campaign_count("packed_cone_lanes") / slots,
-            )
-        ace_slots = campaign_count("lane_slots")
-        if ace_slots:
-            self.telemetry.set_gauge(
-                "group_ace_lane_occupancy",
-                campaign_count("lanes_filled") / ace_slots,
-            )
         # The coordinator session's shared EvalPlan program cache (satellite
         # of the bounded-memoization work: observable size + evictions).
         plan_obj = getattr(self.session.system, "plan", None)
@@ -1410,19 +1389,19 @@ def packed_golden_runs(sessions: Sequence[CampaignSession]) -> None:
     """Run several sessions' golden runs through shared packed words.
 
     Each eligible session's instrumented golden run — fingerprint every
-    cycle, checkpoint at its sampled cycles — is one scalar simulation of
-    the shared netlist from reset, so up to :data:`MAX_LANES` of them pack
-    into the bit-planes of one word, exactly like injected re-simulations
-    do.  Produces per-lane :class:`RunResult`\\ s bit-identical to scalar
-    :meth:`CycleSimulator.run` (same fingerprints, same checkpoints
-    including ``prev_settled``, same observables) and installs them via
+    cycle, checkpoint at its sampled cycles — is one simulation of the
+    shared netlist from reset, so up to :data:`MAX_LANES` of them ride the
+    bit-planes of one word through :meth:`CycleSimulator.run_lanes`, exactly
+    like injected re-simulations do.  Each lane's :class:`RunResult` equals
+    the session's one-lane run (same fingerprints, same checkpoints
+    including ``prev_settled``, same observables) and is installed via
     :meth:`CampaignSession.adopt_golden`.
 
     A session is eligible only if its workload length is already known
     (memo, cache, or bundled hint) — checkpoint positions are sampled from
-    the length, and probing it here would itself cost a scalar run.
+    the length, and probing it here would itself cost a one-lane run.
     Sessions that are ineligible, already golden, or whose packed run fails
-    adoption (stale hint) simply keep their lazy scalar path.  Best-effort
+    adoption (stale hint) simply keep their lazy one-lane path.  Best-effort
     by design: never changes what a session's golden run contains, only how
     it is computed.
     """
@@ -1439,57 +1418,16 @@ def packed_golden_runs(sessions: Sequence[CampaignSession]) -> None:
         by_netlist.setdefault(id(session.system.netlist), []).append(session)
     for group in by_netlist.values():
         for start in range(0, len(group), MAX_LANES):
-            _run_packed_golden_chunk(group[start : start + MAX_LANES])
-
-
-def _run_packed_golden_chunk(chunk: Sequence[CampaignSession]) -> None:
-    """One packed word's worth of golden runs, scalar-run-exact per lane.
-
-    Mirrors the scalar :meth:`CycleSimulator.run` loop per lane: at each
-    cycle boundary append the state fingerprint, capture a checkpoint if
-    the cycle is sampled (``prev_settled`` is the lane's just-settled net
-    values — available because :meth:`PackedCycleSimulator.step` leaves the
-    settled values of the cycle it latched), then step.  A lane whose
-    environment halts (or that hits its ``max_run_cycles`` cap) finalizes
-    its result and retires; the word keeps stepping for the rest.
-    """
-    first = chunk[0]
-    with first.telemetry.timer("golden"), tracing.span(
-        "session.golden_run_packed", cat="session", workloads=len(chunk),
-    ):
-        scalar = first.system.simulator()
-        psim = PackedCycleSimulator(scalar.netlist, scalar.plan)
-        envs = [s.system.make_env(s.program) for s in chunk]
-        wanted = [set(s.sampled_cycles) for s in chunk]
-        caps = [s.config.max_run_cycles for s in chunk]
-        results = [
-            RunResult(cycles=0, halted=False, observables=()) for _ in chunk
-        ]
-        psim.load_reset(envs)
-        psim.settle()  # boundary-0 settled values (scalar reset() semantics)
-        active = set(range(len(chunk)))
-        while active:
-            for lane in sorted(active):
-                run = results[lane]
-                cycle = psim.lane_cycles[lane]
-                run.fingerprints.append(psim.lane_fingerprint(lane))
-                if cycle in wanted[lane]:
-                    run.checkpoints[cycle] = Checkpoint(
-                        cycle=cycle,
-                        dff_values=psim.lane_dff_values(lane),
-                        input_values=dict(psim.lane_inputs[lane]),
-                        env_snapshot=envs[lane].snapshot(),
-                        prev_settled=psim.lane_settled_values(lane),
-                    )
-            psim.step()
-            for lane in sorted(active):
-                halted = envs[lane].halted()
-                if halted or psim.lane_cycles[lane] >= caps[lane]:
-                    run = results[lane]
-                    run.cycles = psim.lane_cycles[lane]
-                    run.halted = halted
-                    run.observables = envs[lane].observables()
-                    active.discard(lane)
-                    psim.retire_lane(lane)
-    for session, run in zip(chunk, results):
-        session.adopt_golden(run)
+            chunk = group[start : start + MAX_LANES]
+            with chunk[0].telemetry.timer("golden"), tracing.span(
+                "session.golden_run_packed", cat="session",
+                workloads=len(chunk),
+            ):
+                runs = chunk[0].system.simulator().run_lanes(
+                    [s.system.make_env(s.program) for s in chunk],
+                    max_cycles=[s.config.max_run_cycles for s in chunk],
+                    checkpoint_cycles=[s.sampled_cycles for s in chunk],
+                    record_fingerprints=True,
+                )
+            for session, run in zip(chunk, runs):
+                session.adopt_golden(run)

@@ -27,8 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.telemetry import CampaignTelemetry
 from repro.isa.assembler import Program
-from repro.sim.cyclesim import Checkpoint, CycleSimulator, RunResult
-from repro.sim.packed import MAX_LANES, PackedCycleSimulator
+from repro.sim.cyclesim import MAX_LANES, Checkpoint, CycleSimulator, RunResult
 
 
 class Outcome(enum.Enum):
@@ -79,9 +78,6 @@ class GroupAceAnalyzer:
         self.verdict_cache = verdict_cache
         self.telemetry = telemetry if telemetry is not None else CampaignTelemetry()
         self._cache: Dict[Tuple, Outcome] = {}
-        self._packed: PackedCycleSimulator = PackedCycleSimulator(
-            self.sim.netlist, self.sim.plan
-        )
 
     # ------------------------------------------------------------------
     def outcome_of_state_errors(
@@ -148,8 +144,8 @@ class GroupAceAnalyzer:
         """Batch-resolve many error sets into the cache (lane-parallel).
 
         Deduplicates against the cache and within *sets*, then runs the
-        remaining unique injections in groups of up to *lanes* on the packed
-        bit-plane simulator.  Subsequent :meth:`outcome_of_state_errors`
+        remaining unique injections in groups of up to *lanes* bit-planes of
+        the cycle simulator.  Subsequent :meth:`outcome_of_state_errors`
         calls for these sets are cache hits, so callers can keep using the
         scalar API unchanged.
 
@@ -222,20 +218,6 @@ class GroupAceAnalyzer:
                 task.key[0], at_next_boundary, task.key[2], outcome
             )
 
-    def _run_injected_batch(
-        self,
-        lane_items: Sequence[Tuple[Checkpoint, Dict[int, int]]],
-        at_next_boundary: bool,
-    ) -> List[Outcome]:
-        """Run up to :data:`MAX_LANES` injections of this workload at once."""
-        return _run_lane_tasks(
-            [
-                _LaneTask(self, None, checkpoint, overrides)
-                for checkpoint, overrides in lane_items
-            ],
-            at_next_boundary,
-        )
-
     # ------------------------------------------------------------------
     def _run_injected(
         self,
@@ -243,6 +225,11 @@ class GroupAceAnalyzer:
         overrides: Dict[int, int],
         at_next_boundary: bool,
     ) -> Outcome:
+        """Brute-force GroupACE oracle: one injection on one lane.
+
+        Resolves cache misses of :meth:`outcome_of_state_errors`, and is the
+        reference the lane-packed :func:`_run_lane_tasks` is checked against.
+        """
         sim = self.sim
         env = self.system.make_env(self.program)
         sim.restore(checkpoint, env)
@@ -342,17 +329,19 @@ def prefetch_spanning_multi(
 def _run_lane_tasks(
     tasks: Sequence[_LaneTask], at_next_boundary: bool
 ) -> List[Outcome]:
-    """Run up to :data:`MAX_LANES` injections simultaneously.
+    """Run up to :data:`MAX_LANES` injections simultaneously, one per lane.
 
-    Bit-exact with :meth:`GroupAceAnalyzer._run_injected` per lane: the same
-    fingerprint convergence checks, halt handling, and DUE budget are
-    applied at the same (per-lane absolute) cycle boundaries — each lane
-    compares against the golden fingerprints and observables of its own
-    analyzer's workload and burns that analyzer's DUE budget from its own
-    start cycle.
+    Each lane's outcome equals the one-lane oracle
+    :meth:`GroupAceAnalyzer._run_injected`: the same fingerprint convergence
+    checks, halt handling, and DUE budget are applied at the same (per-lane
+    absolute) cycle boundaries — each lane compares against the golden
+    fingerprints and observables of its own analyzer's workload and burns
+    that analyzer's DUE budget from its own start cycle.  On top, a lane
+    that repeats a full state past the golden run's end is resolved as DUE
+    at once (see below).
     """
     count = len(tasks)
-    psim = tasks[0].analyzer._packed
+    psim = tasks[0].analyzer.sim
     envs = [
         task.analyzer.system.make_env(task.analyzer.program) for task in tasks
     ]
@@ -362,7 +351,7 @@ def _run_lane_tasks(
     if at_next_boundary:
         psim.step()
     for lane, task in enumerate(tasks):
-        psim.override_lane_dffs(lane, task.overrides)
+        psim.override_dffs(task.overrides, lane)
     # Per-lane convergence context: each lane resolves against its own
     # workload's golden run.
     golden_fps = [task.analyzer.golden.fingerprints for task in tasks]
@@ -397,7 +386,7 @@ def _run_lane_tasks(
             cycle = psim.lane_cycles[lane]
             fps = golden_fps[lane]
             if cycle < len(fps):
-                if psim.lane_fingerprint(lane) == fps[cycle]:
+                if psim.fingerprint(lane) == fps[cycle]:
                     produced = envs[lane].observables()
                     stats[lane].converged += 1
                     resolve(

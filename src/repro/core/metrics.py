@@ -11,7 +11,8 @@ finishes.  Two formats, selected by extension:
   keyed by a ``name`` label so new counters/phases never change the schema:
 
   - ``repro_campaign_counter{name="injections",...}``
-  - ``repro_campaign_gauge{name="ci_half_width",...}``
+  - ``repro_campaign_gauge{name="ci_half_width",...}`` (gauges, plus the
+    counter ratios of :data:`repro.core.telemetry.COUNTER_RATIOS`)
   - ``repro_campaign_phase_seconds{name="execute",kind="wall"|"cpu",...}``
 
 The ``kind`` label carries the wall-vs-cumulative distinction the telemetry
@@ -66,11 +67,10 @@ def render_prometheus_sections(sections) -> str:
             counter_lines.append(
                 f"{PROMETHEUS_PREFIX}_counter{block} {telemetry.counters[name]}"
             )
-        for name in sorted(telemetry.gauges):
+        levels = {**telemetry.gauges, **telemetry.ratios()}
+        for name in sorted(levels):
             block = _label_block({**labels, "name": name})
-            gauge_lines.append(
-                f"{PROMETHEUS_PREFIX}_gauge{block} {telemetry.gauges[name]}"
-            )
+            gauge_lines.append(f"{PROMETHEUS_PREFIX}_gauge{block} {levels[name]}")
         wall = getattr(telemetry, "phase_wall_seconds", {}) or {}
         for name in sorted(telemetry.phase_seconds):
             block = _label_block({**labels, "name": name, "kind": "cpu"})
@@ -115,6 +115,7 @@ def metrics_payload(
         "labels": dict(labels or {}),
         "counters": dict(telemetry.counters),
         "gauges": dict(telemetry.gauges),
+        "ratios": telemetry.ratios(),
         "phase_seconds": dict(telemetry.phase_seconds),
         "phase_wall_seconds": dict(
             getattr(telemetry, "phase_wall_seconds", {}) or {}

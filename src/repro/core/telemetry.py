@@ -8,8 +8,10 @@ report *why* it was fast or slow: how many injections the §V-C short-circuits
 skipped, how well the GroupACE / verdict caches performed, how full the
 packed-simulator lanes ran, and where the wall-clock time went.
 
-Counters are plain integer increments (cheap enough for per-injection use).
-Gauges are point-in-time float levels (the final ``ci_half_width`` of an
+Counters are plain integer increments (cheap enough for per-injection use);
+ratios of counters, such as lane occupancy, are derived when rendered
+(:data:`COUNTER_RATIOS`) and never stored.  Gauges are point-in-time float
+levels (the final ``ci_half_width`` of an
 adaptive campaign is a level, not a tally); when per-worker gauges merge back
 into the coordinator, each gauge follows its declared policy in
 :data:`GAUGE_MERGE_POLICIES` — ``max`` (the default: the worst level wins,
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 #: Presentation order for the known counters (unknown ones sort last).
 COUNTER_ORDER = (
@@ -131,8 +133,6 @@ PHASE_ORDER = (
 #: Presentation order for the known gauges.
 GAUGE_ORDER = (
     "ci_half_width",
-    "packed_lane_occupancy",
-    "group_ace_lane_occupancy",
     "eval_programs_cached",
     "eval_program_evictions",
 )
@@ -147,16 +147,21 @@ GAUGE_ORDER = (
 #: :data:`DEFAULT_GAUGE_POLICY`.
 GAUGE_MERGE_POLICIES: Dict[str, str] = {
     "ci_half_width": "max",
-    # Occupancy gauges are recomputed post-merge from their counters in
-    # DelayAVFEngine._finalize; "last" keeps the recomputed value.
-    "packed_lane_occupancy": "last",
-    "group_ace_lane_occupancy": "last",
     # Program-cache gauges describe the coordinator's shared EvalPlan.
     "eval_programs_cached": "max",
     "eval_program_evictions": "max",
 }
 
 DEFAULT_GAUGE_POLICY = "max"
+
+#: Ratios derived from counters when rendered: name -> (numerator,
+#: denominator).  They are never stored, because counters sum correctly
+#: under every merge (workers, spanning runs, several campaigns) and a
+#: stored ratio does not.
+COUNTER_RATIOS: Dict[str, Tuple[str, str]] = {
+    "packed_lane_occupancy": ("packed_cone_lanes", "packed_cone_lane_slots"),
+    "group_ace_lane_occupancy": ("lanes_filled", "lane_slots"),
+}
 
 _VALID_GAUGE_POLICIES = frozenset({"max", "min", "last"})
 
@@ -210,6 +215,14 @@ class CampaignTelemetry:
 
     def gauge(self, name: str) -> Optional[float]:
         return self.gauges.get(name)
+
+    def ratios(self) -> Dict[str, float]:
+        """The :data:`COUNTER_RATIOS` whose denominator counter is non-zero."""
+        return {
+            name: self.count(numerator) / self.count(denominator)
+            for name, (numerator, denominator) in COUNTER_RATIOS.items()
+            if self.count(denominator)
+        }
 
     def add_seconds(self, phase: str, seconds: float, wall: bool = True) -> None:
         self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds

@@ -159,3 +159,47 @@ def test_sdc_detected_on_output_corruption(system, strstr_program):
 def test_stats_track_convergence(strstr_engine):
     stats = strstr_engine.session.group_ace.stats
     assert stats.runs == stats.converged + stats.ran_to_halt + stats.timed_out
+
+
+def test_lane_loop_detector_agrees_with_oracle(system):
+    """A corrupted flag sends the program into ``spin: j spin``.
+
+    Past the golden run's end the lane path sees the spinning lane repeat a
+    full state and resolves it as DUE at once; the one-lane oracle burns the
+    whole margin and must reach the same verdict.
+    """
+    src = """
+    li a1, 0
+    li a0, 0
+    li a2, 20
+    loop:
+    addi a0, a0, 1
+    blt a0, a2, loop
+    bnez a1, spin
+    li t0, 0x10001000
+    sw x0, 0(t0)
+    spin:
+    j spin
+    """
+    program = assemble(src, "spin")
+    cycle, margin = 10, 300
+    golden = system.run_program(
+        program, max_cycles=2000, checkpoint_cycles=[cycle],
+        record_fingerprints=True,
+    )
+    assert golden.halted
+    checkpoint = golden.checkpoints[cycle]
+    a1_bit0 = _dff_index(system, "core.regfile.x11[0]")
+    overrides = {a1_bit0: 1}
+    lanes = GroupAceAnalyzer(system, program, golden, margin_cycles=margin)
+    lanes.prefetch(checkpoint, [overrides])
+    assert lanes.stats.runs == 1 and lanes.stats.timed_out == 1
+    # Resolved well before the DUE budget (golden length + margin) ran out.
+    assert cycle + lanes.stats.cycles_simulated < golden.cycles + margin // 2
+    assert lanes.outcome_of_state_errors(checkpoint, overrides) is Outcome.DUE
+    assert lanes.stats.runs == 1  # answered from the prefetched cache
+    oracle = GroupAceAnalyzer(system, program, golden, margin_cycles=margin)
+    assert oracle.outcome_of_state_errors(checkpoint, overrides) is Outcome.DUE
+    assert oracle.stats.timed_out == 1
+    # It ran from the boundary after the checkpoint to the end of the budget.
+    assert cycle + 1 + oracle.stats.cycles_simulated == golden.cycles + margin

@@ -188,8 +188,8 @@ def test_campaign_records_identical_across_lane_widths(system, strstr_program):
     # The packed width actually engaged and its occupancy is observable.
     telemetry = results[64].telemetry
     assert telemetry.count("packed_cone_lanes") > 0
-    occupancy = telemetry.gauge("packed_lane_occupancy")
-    assert occupancy is not None and 0.0 < occupancy <= 1.0
+    occupancy = telemetry.ratios()["packed_lane_occupancy"]
+    assert 0.0 < occupancy <= 1.0
     assert results[1].telemetry.count("packed_cone_words") == 0
 
 
@@ -231,11 +231,11 @@ def test_run_structures_matches_sequential_campaigns(system, strstr_program):
 
 
 def test_packed_golden_runs_match_scalar(system, strstr_program):
-    """Packed golden runs are bit-identical to scalar instrumented runs.
+    """Packed golden runs are bit-identical to one-lane instrumented runs.
 
     Two workloads' golden runs ride one packed word; each lane's RunResult
     (fingerprints every cycle, checkpoints including ``prev_settled``,
-    observables) must equal the scalar ``session.golden``.
+    observables) must equal the one-lane ``session.golden``.
     """
     from repro.core.campaign import packed_golden_runs
     from repro.workloads.beebs import load_benchmark
@@ -308,3 +308,55 @@ def test_run_structures_spanning_across_workloads(system, strstr_program):
                 by_structure[structure].by_delay[0.9].records
                 == expected[name][structure].by_delay[0.9].records
             ), (name, structure)
+
+
+def test_merged_spanning_telemetry_renders_occupancy_from_counters(
+    system, strstr_program
+):
+    """Lane occupancy is derived from the merged counters, never stored.
+
+    The telemetry of every campaign of a two-engine spanning run is merged
+    (as ``--stats`` does across a figure's campaigns); both occupancy
+    ratios in the rendered block and the metrics payload must equal their
+    numerator counter over their denominator counter.
+    """
+    from repro.analysis.report import render_telemetry
+    from repro.core.campaign import run_structures_spanning
+    from repro.core.metrics import metrics_payload
+    from repro.core.telemetry import CampaignTelemetry
+    from repro.workloads.beebs import load_benchmark
+
+    base = dict(
+        cycle_count=5, max_wires=16, delay_fractions=(0.7, 0.9),
+        margin_cycles=400, seed=3, lanes=64,
+    )
+    engines = [
+        DelayAVFEngine(system, program, CampaignConfig(**base))
+        for program in (strstr_program, load_benchmark("libfibcall"))
+    ]
+    spanned = run_structures_spanning(
+        [(engine, ("alu", "regfile", "lsu")) for engine in engines]
+    )
+    merged = CampaignTelemetry()
+    for by_structure in spanned:
+        for result in by_structure.values():
+            merged.merge(result.telemetry)
+    expected = {
+        "group_ace_lane_occupancy": (
+            merged.count("lanes_filled") / merged.count("lane_slots")
+        ),
+        "packed_lane_occupancy": (
+            merged.count("packed_cone_lanes")
+            / merged.count("packed_cone_lane_slots")
+        ),
+    }
+    assert not set(expected) & set(merged.gauges)
+    assert merged.ratios() == expected
+    assert metrics_payload(merged)["ratios"] == expected
+    rendered = dict(
+        line.split() for line in render_telemetry(merged).splitlines()
+        if line.split()[0] in expected
+    )
+    assert {name: float(text) for name, text in rendered.items()} == (
+        pytest.approx(expected, rel=1e-5)
+    )

@@ -1,14 +1,18 @@
-"""Lane-parallel (packed) simulation: bit-exact with scalar simulation."""
+"""Lane-parallel (packed) simulation: lane k of an N-lane word equals a
+one-lane run of the same simulator, and packed GroupACE equals its oracle."""
+
+import random
 
 import numpy as np
 import pytest
 
-from helpers import ScriptedEnv, random_circuit
+from helpers import ScriptedEnv, naive_settle, random_circuit
 from repro.core.campaign import CampaignConfig, DelayAVFEngine
 from repro.core.group_ace import GroupAceAnalyzer
 from repro.netlist.cells import CellKind, cell_input_count, eval_cell, eval_cell_array
-from repro.sim.cyclesim import CycleSimulator
-from repro.sim.packed import MAX_LANES, PackedCycleSimulator
+from repro.netlist.netlist import Netlist
+from repro.netlist.validate import validate
+from repro.sim.cyclesim import MAX_LANES, CycleSimulator
 
 
 @pytest.mark.parametrize("kind", list(CellKind))
@@ -22,6 +26,48 @@ def test_masked_eval_is_per_plane(kind):
         lane_inputs = [(arr >> lane) & 1 for arr in inputs]
         scalar = eval_cell_array(kind, *lane_inputs)
         assert np.array_equal((packed >> lane) & 1, scalar), (kind, lane)
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 11, MAX_LANES])
+def test_port_packing_matches_per_bit_reference(lanes):
+    """Every lane's input words go in, and its output words come out, bit
+    by bit as the naive fixed-point evaluator settles that lane alone —
+    with lanes disagreeing on every input port."""
+    rng = random.Random(lanes)
+    nl = Netlist()
+    inputs = {"a": nl.add_input("a", 5), "b": nl.add_input("b", 1),
+              "c": nl.add_input("c", 3)}
+    pool = [net for nets in inputs.values() for net in nets]
+    kinds = [CellKind.AND2, CellKind.OR2, CellKind.XOR2, CellKind.NOT,
+             CellKind.MUX2]
+    for _ in range(30):
+        kind = rng.choice(kinds)
+        ins = [rng.choice(pool) for _ in range(cell_input_count(kind))]
+        pool.append(nl.add_cell(kind, ins))
+    nl.add_output("x", [rng.choice(pool) for _ in range(7)])
+    nl.add_output("y", [rng.choice(pool)])
+    validate(nl)
+    nl.freeze()
+    words = [
+        {name: rng.randrange(1 << len(nets)) for name, nets in inputs.items()}
+        for _ in range(lanes)
+    ]
+    envs = [ScriptedEnv([lane_words]) for lane_words in words]
+    sim = CycleSimulator(nl)
+    sim.load_reset(envs)
+    sim.step()
+    for lane_words, env in zip(words, envs):
+        state = {
+            net: (lane_words[name] >> bit) & 1
+            for name, nets in inputs.items()
+            for bit, net in enumerate(nets)
+        }
+        settled = naive_settle(nl, state)
+        expected = {
+            name: sum(settled[net] << bit for bit, net in enumerate(nets))
+            for name, nets in nl.output_ports.items()
+        }
+        assert env.seen_outputs == [expected]
 
 
 def _run_scalar(nl, script, cycles, overrides=None, override_at=None):
@@ -39,14 +85,14 @@ def _run_scalar(nl, script, cycles, overrides=None, override_at=None):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_packed_lanes_match_scalar_runs(seed):
-    """Each lane, with its own injected flips, tracks its scalar twin."""
+    """Each lane, with its own injected flips, tracks its one-lane run."""
     nl = random_circuit(seed, num_inputs=5, num_gates=60, num_dffs=8)
     script = [{"in": (i * 11 + seed) & 0x1F} for i in range(15)]
     lane_overrides = [
         {k % 8: (k + seed) & 1 for k in range(lane + 1)}
         for lane in range(MAX_LANES)
     ]
-    # Scalar reference runs.
+    # One-lane reference runs.
     scalar_states = [
         _run_scalar(nl, script, 12, overrides, override_at=0)
         for overrides in lane_overrides
@@ -56,11 +102,10 @@ def test_packed_lanes_match_scalar_runs(seed):
     env = ScriptedEnv(script)
     sim.reset(env)
     checkpoint = sim.checkpoint()
-    psim = PackedCycleSimulator(nl)
-    envs = [ScriptedEnv(script) for _ in range(MAX_LANES)]
-    psim.load(checkpoint, envs)
+    psim = CycleSimulator(nl)
+    psim.load_lanes([(checkpoint, ScriptedEnv(script)) for _ in range(MAX_LANES)])
     for lane, overrides in enumerate(lane_overrides):
-        psim.override_lane_dffs(lane, overrides)
+        psim.override_dffs(overrides, lane)
     for cycle in range(12):
         for lane in range(MAX_LANES):
             assert np.array_equal(
@@ -76,12 +121,13 @@ def test_lane_fingerprint_matches_scalar(system, strstr_program):
     )
     checkpoint = golden.checkpoints[40]
     # A clean (no-override) lane must reproduce the golden fingerprints.
-    psim = PackedCycleSimulator(system.netlist, system.plan)
-    envs = [system.make_env(strstr_program) for _ in range(3)]
-    psim.load(checkpoint, envs)
+    psim = system.simulator()
+    psim.load_lanes(
+        [(checkpoint, system.make_env(strstr_program)) for _ in range(3)]
+    )
     for cycle in range(40, 60):
         for lane in range(3):
-            assert psim.lane_fingerprint(lane) == golden.fingerprints[cycle]
+            assert psim.fingerprint(lane) == golden.fingerprints[cycle]
         psim.step()
 
 
@@ -89,13 +135,13 @@ def test_lane_count_validation(system, strstr_program):
     golden = system.run_program(
         strstr_program, max_cycles=500, checkpoint_cycles=[10],
     )
-    psim = PackedCycleSimulator(system.netlist, system.plan)
+    psim = system.simulator()
+    checkpoint = golden.checkpoints[10]
     with pytest.raises(ValueError, match="lanes"):
-        psim.load(golden.checkpoints[10], [])
+        psim.load_lanes([])
     with pytest.raises(ValueError, match="lanes"):
-        psim.load(
-            golden.checkpoints[10],
-            [system.make_env(strstr_program) for _ in range(MAX_LANES + 1)],
+        psim.load_lanes(
+            [(checkpoint, system.make_env(strstr_program))] * (MAX_LANES + 1)
         )
 
 

@@ -1,8 +1,9 @@
 """Pinned reproduction numbers: a change to any of them must be deliberate.
 
 Table I (injected wires per structure) and Table II (cycles per benchmark)
-are pinned exactly, and one tiny campaign is pinned by the digest of its
-result payload under every executor.  A change that moves a pin must edit
+are pinned exactly, one tiny campaign is pinned by the digest of its result
+payload under every executor, and one tiny two-workload spanning run (whose
+golden runs share a lane-packed word) by the digest of both payloads.  A change that moves a pin must edit
 it in the same diff and say why; it is never a side effect.
 """
 
@@ -12,7 +13,13 @@ import threading
 
 import pytest
 
-from repro.core.campaign import CampaignConfig, DelayAVFEngine
+from repro.core import campaign
+from repro.core.campaign import (
+    CampaignConfig,
+    DelayAVFEngine,
+    packed_golden_runs,
+    run_structures_spanning,
+)
 from repro.core.executor import ParallelExecutor, SerialExecutor, SessionSpec
 from repro.distrib import transport
 from repro.distrib.coordinator import RemoteExecutor
@@ -46,6 +53,12 @@ TABLE2_CYCLES = {
 CAMPAIGN_DIGEST = "ba314fee00d169c44a7c5458e844b6df34ec07d28e7dca0962c93cc1558195b4"
 CAMPAIGN_CONFIG = CampaignConfig(cycle_count=2, max_wires=4)
 
+#: sha256 of the ALU campaigns of libfibcall and libstrstr run together by
+#: ``run_structures_spanning`` (same config as above): their golden runs go
+#: through ``packed_golden_runs`` and their GroupACE queries through
+#: ``prefetch_spanning_multi``.
+SPANNING_DIGEST = "f58776c78f8e0f254c1e2361c977578d7afcf5b6653fcbf809c8ba17d455719b"
+
 
 def test_table1_wire_counts(system, ecc_system):
     plain = structure_stats(system.netlist, system.structures)
@@ -78,9 +91,13 @@ def fib_engine():
     engine.close()
 
 
-def _digest(result) -> str:
+def _payload(result) -> dict:
     payload = result.result_payload()
     payload.pop("degraded")
+    return payload
+
+
+def _digest(payload) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
     ).hexdigest()
@@ -88,7 +105,7 @@ def _digest(result) -> str:
 
 def test_campaign_digest_serial(fib_engine):
     result = fib_engine.run_structure("alu", executor=SerialExecutor())
-    assert _digest(result) == CAMPAIGN_DIGEST
+    assert _digest(_payload(result)) == CAMPAIGN_DIGEST
 
 
 @pytest.mark.parametrize("threaded", [False, True], ids=["fork", "spawn"])
@@ -109,7 +126,7 @@ def test_campaign_digest_parallel(fib_engine, threaded):
         assert methods == {"spawn"}
     elif single_threaded:
         assert methods == {"fork"}
-    assert _digest(result) == CAMPAIGN_DIGEST
+    assert _digest(_payload(result)) == CAMPAIGN_DIGEST
 
 
 def test_campaign_digest_socket_remote(fib_engine):
@@ -125,4 +142,24 @@ def test_campaign_digest_socket_remote(fib_engine):
             ).start()
         result = fib_engine.run_structure("alu", executor=remote)
     assert result.telemetry.count("remote_shards_completed") == 2
-    assert _digest(result) == CAMPAIGN_DIGEST
+    assert _digest(_payload(result)) == CAMPAIGN_DIGEST
+
+
+def test_spanning_digest(system, monkeypatch):
+    adopted = []
+
+    def recording_packed_golden_runs(sessions):
+        packed_golden_runs(sessions)
+        adopted.extend(session._golden is not None for session in sessions)
+
+    monkeypatch.setattr(
+        campaign, "packed_golden_runs", recording_packed_golden_runs
+    )
+    engines = [
+        DelayAVFEngine(system, load_benchmark(name), CAMPAIGN_CONFIG)
+        for name in ("libfibcall", "libstrstr")
+    ]
+    results = run_structures_spanning([(engine, ("alu",)) for engine in engines])
+    # Both golden runs came from one shared packed word.
+    assert adopted == [True, True]
+    assert _digest([_payload(r["alu"]) for r in results]) == SPANNING_DIGEST
